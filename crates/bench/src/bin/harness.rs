@@ -690,7 +690,7 @@ struct E9Run {
 fn e9_parallel() {
     header(
         "E9 (parallel execution)",
-        "morsel-driven parallel filter/refine: identical rows, per-step speedup over serial",
+        "morsel-driven filter/refine: identical rows, per-step speedup over one worker",
     );
     // Fresh registry so BENCH_metrics.json reflects this experiment only.
     lidardb_core::MetricsRegistry::global().reset();
@@ -751,8 +751,7 @@ fn e9_parallel() {
         pc.select_with(pred, RefineStrategy::default()).expect("warmup");
     }
 
-    let modes: [(&'static str, Parallelism); 5] = [
-        ("serial", Parallelism::Serial),
+    let modes: [(&'static str, Parallelism); 4] = [
         ("threads", Parallelism::Threads(1)),
         ("threads", Parallelism::Threads(2)),
         ("threads", Parallelism::Threads(4)),
@@ -761,17 +760,17 @@ fn e9_parallel() {
 
     let mut json_queries = Vec::new();
     for (name, pred) in &queries {
-        let serial_rows = pc
-            .select_query_with(Some(pred), &[], RefineStrategy::default(), Parallelism::Serial)
-            .expect("serial")
+        let one_rows = pc
+            .select_query_with(Some(pred), &[], RefineStrategy::default(), Parallelism::Threads(1))
+            .expect("one worker")
             .rows;
-        println!("query {name}: {} rows", serial_rows.len());
+        println!("query {name}: {} rows", one_rows.len());
         println!(
             "{:<16} {:>10} {:>10} {:>10} {:>10} {:>14}",
             "mode", "filter ms", "bbox ms", "refine ms", "total ms", "bbox speedup"
         );
         let mut runs = Vec::new();
-        let mut serial_bbox = 0.0f64;
+        let mut one_bbox = 0.0f64;
         for (mode, par) in &modes {
             // Median-of-3 by exact-scan time; rows re-checked every run.
             let mut tries: Vec<E9Run> = (0..3)
@@ -779,7 +778,7 @@ fn e9_parallel() {
                     let sel = pc
                         .select_query_with(Some(pred), &[], RefineStrategy::default(), *par)
                         .expect("select");
-                    assert_eq!(sel.rows, serial_rows, "parallel rows must be identical");
+                    assert_eq!(sel.rows, one_rows, "rows must be identical at every worker count");
                     let e = &sel.explain;
                     E9Run {
                         mode,
@@ -793,24 +792,21 @@ fn e9_parallel() {
                 .collect();
             tries.sort_by(|a, b| a.t_bbox.total_cmp(&b.t_bbox));
             let run = tries.remove(1);
-            if *par == Parallelism::Serial {
-                serial_bbox = run.t_bbox;
+            if run.workers == 1 {
+                one_bbox = run.t_bbox;
             }
-            let label = match par {
-                Parallelism::Serial => "serial".to_string(),
-                _ => format!("threads({})", run.workers),
-            };
+            let label = format!("threads({})", run.workers);
             println!(
                 "{label:<16} {:>10.3} {:>10.3} {:>10.3} {:>10.3} {:>13.2}x",
                 run.t_imprints * 1e3,
                 run.t_bbox * 1e3,
                 run.t_refine * 1e3,
                 run.t_total * 1e3,
-                serial_bbox / run.t_bbox.max(1e-12)
+                one_bbox / run.t_bbox.max(1e-12)
             );
             runs.push(run);
         }
-        json_queries.push((name.to_string(), serial_rows.len(), serial_bbox, runs));
+        json_queries.push((name.to_string(), one_rows.len(), one_bbox, runs));
     }
 
     // Hand-rolled JSON (no serde in the tree): one object per (query, mode).
@@ -822,7 +818,7 @@ fn e9_parallel() {
         std::thread::available_parallelism().map_or(1, |n| n.get())
     ));
     out.push_str("  \"queries\": [\n");
-    for (qi, (name, rows, serial_bbox, runs)) in json_queries.iter().enumerate() {
+    for (qi, (name, rows, one_bbox, runs)) in json_queries.iter().enumerate() {
         out.push_str("    {\n");
         out.push_str(&format!("      \"name\": \"{name}\",\n"));
         out.push_str(&format!("      \"rows\": {rows},\n"));
@@ -831,14 +827,14 @@ fn e9_parallel() {
             out.push_str(&format!(
                 "        {{\"mode\": \"{}\", \"workers\": {}, \"t_imprints\": {:.6}, \
                  \"t_bbox\": {:.6}, \"t_refine\": {:.6}, \"t_total\": {:.6}, \
-                 \"bbox_speedup_vs_serial\": {:.3}}}{}\n",
+                 \"bbox_speedup_vs_1_worker\": {:.3}}}{}\n",
                 r.mode,
                 r.workers,
                 r.t_imprints,
                 r.t_bbox,
                 r.t_refine,
                 r.t_total,
-                serial_bbox / r.t_bbox.max(1e-12),
+                one_bbox / r.t_bbox.max(1e-12),
                 if ri + 1 < runs.len() { "," } else { "" }
             ));
         }
@@ -867,11 +863,11 @@ fn e9_parallel() {
 /// whole stage taxonomy and export it as Chrome trace-event JSON
 /// (loadable in Perfetto / chrome://tracing).
 fn e9_tracing(pc: &PointCloud, queries: &[(&str, &SpatialPredicate)]) {
-    println!("--- tracing overhead (serial bbox query, median of 3) ---");
+    println!("--- tracing overhead (one-worker bbox query, median of 3) ---");
     let (name, pred) = (queries[0].0, queries[0].1);
     let run_once = |pc: &PointCloud| {
         let sel = pc
-            .select_query_with(Some(pred), &[], RefineStrategy::default(), Parallelism::Serial)
+            .select_query_with(Some(pred), &[], RefineStrategy::default(), Parallelism::Threads(1))
             .expect("overhead run");
         std::hint::black_box(sel.rows.len());
     };
@@ -887,7 +883,7 @@ fn e9_tracing(pc: &PointCloud, queries: &[(&str, &SpatialPredicate)]) {
     );
 
     // One traced workload covering the full stage taxonomy: both queries
-    // serial and threads(4) (imprint_probe / bbox_scan / grid_refine /
+    // threads(1) and threads(4) (imprint_probe / bbox_scan / grid_refine /
     // morsel), an aggregate, and a persist round-trip of a small cloud
     // (imprint_build / persist_save / persist_load).
     lidardb_core::Tracer::global().clear();
@@ -895,7 +891,7 @@ fn e9_tracing(pc: &PointCloud, queries: &[(&str, &SpatialPredicate)]) {
     lidardb_core::trace::set_enabled(true);
     let mut agg = 0.0f64;
     for (_, pred) in queries {
-        for par in [Parallelism::Serial, Parallelism::Threads(4)] {
+        for par in [Parallelism::Threads(1), Parallelism::Threads(4)] {
             let sel = pc
                 .select_query_with(Some(pred), &[], RefineStrategy::default(), par)
                 .expect("traced select");
@@ -1070,7 +1066,7 @@ fn e10_burst(
                             Some(pred),
                             &[],
                             RefineStrategy::default(),
-                            Parallelism::Serial,
+                            Parallelism::Threads(1),
                             deadline,
                             None,
                         );
@@ -1172,7 +1168,7 @@ fn e10_overload() {
     // Config A: ungoverned — unlimited admission, no deadline.
     let pc_open = Arc::new(pc);
     println!(
-        "\nburst: {THREADS} clients x {PER_THREAD} queries, serial executor per query\n"
+        "\nburst: {THREADS} clients x {PER_THREAD} queries, one worker per query\n"
     );
     println!(
         "{:<12} {:>5} {:>10} {:>11} {:>9} {:>9} {:>9}",

@@ -1137,7 +1137,7 @@ mod tests {
         ))
         .expect("committed baseline exists");
         let runs = extract_runs(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(runs.len(), 10, "2 queries x 5 modes");
+        assert_eq!(runs.len(), 8, "2 queries x 4 worker counts");
     }
 
     #[test]

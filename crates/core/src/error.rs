@@ -62,8 +62,8 @@ pub enum CoreError {
     },
     /// The query was cooperatively cancelled before completing: its
     /// deadline expired, it was killed, or it exceeded its memory
-    /// budget. `Display` deliberately omits `elapsed` so a serial and a
-    /// parallel cancellation of the same query render identically.
+    /// budget. `Display` deliberately omits `elapsed` so cancellations of
+    /// the same query at different worker counts render identically.
     Cancelled {
         /// What tripped the cancellation token.
         reason: CancelReason,
@@ -249,8 +249,8 @@ mod tests {
 
     #[test]
     fn cancelled_display_is_elapsed_free() {
-        // The differential suite compares serial and parallel cancellation
-        // errors by their Display strings; elapsed wall time must not leak
+        // The differential suite compares cancellation errors across worker
+        // counts by their Display strings; elapsed wall time must not leak
         // into the rendering or they could never match.
         let mk = |ms: u64| CoreError::Cancelled {
             reason: CancelReason::Killed,

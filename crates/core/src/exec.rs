@@ -1,17 +1,22 @@
-//! Morsel-driven parallel execution of the two-step query engine.
+//! The morsel executor: the only query executor of the two-step engine.
 //!
 //! The imprint candidate list is partitioned into balanced row-range
-//! *morsels* ([`lidardb_imprints::CandidateList::split_rows`]); scoped worker
-//! threads pull morsels off a shared counter and run the exact bbox scan,
-//! attribute refines, and grid-refinement point tests independently; the
-//! per-morsel selection vectors are then concatenated in morsel order.
+//! *morsels* ([`lidardb_imprints::CandidateList::split_rows`]); workers pull
+//! morsels off a shared counter and run the exact bbox scan, attribute
+//! refines, and grid-refinement point tests independently; the per-morsel
+//! selection vectors are then concatenated in morsel order.
+//!
+//! **One worker is not a special case.** The worker count comes from the
+//! input ([`workers_for`]): the caller's [`Parallelism`] once there are at
+//! least two morsels' worth of rows, one worker below that. At one worker
+//! the same morsels run inline on the calling thread — no thread is
+//! spawned — so every worker count executes the same kernels.
 //!
 //! **Ordering guarantee.** Morsels partition the candidate rows in ascending
 //! row order and every per-morsel kernel preserves the order of its input,
-//! so the merged selection is identical — byte for byte — to the serial
-//! path's output. The differential test suite
-//! (`crates/core/tests/differential.rs`) enforces this for every query
-//! shape in the engine's test suite.
+//! so the merged selection is identical — byte for byte — at every worker
+//! count. The differential test suite (`crates/core/tests/differential.rs`)
+//! checks 1 against N workers, and both against a brute-force oracle.
 //!
 //! Worker panics are contained with the same `catch_unwind` pattern as the
 //! parallel loader and surface as [`CoreError::WorkerPanic`].
@@ -28,15 +33,14 @@ use lidardb_storage::Native;
 use crate::error::CoreError;
 use crate::governor::{GovernCtx, CHECKPOINT_STRIDE};
 use crate::pointcloud::PointCloud;
-use crate::query::{grid_cell, grid_cell_env, AttrRange, Explain, SpatialPredicate};
+use crate::query::{AttrRange, Explain, SpatialPredicate};
 
 /// Worker-count policy for query execution, set per [`PointCloud`] (or per
 /// call via `select_query_with`) and plumbed through the SQL catalog.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Parallelism {
-    /// Single-threaded reference path.
-    Serial,
-    /// Exactly this many worker threads (clamped to at least 1).
+    /// Exactly this many workers (clamped to at least 1; one worker runs
+    /// inline on the calling thread).
     Threads(usize),
     /// One worker per available core.
     #[default]
@@ -47,19 +51,28 @@ impl Parallelism {
     /// The number of workers this policy resolves to on this machine.
     pub fn workers(self) -> usize {
         match self {
-            Parallelism::Serial => 1,
             Parallelism::Threads(n) => n.max(1),
             Parallelism::Auto => std::thread::available_parallelism().map_or(1, |n| n.get()),
         }
     }
 }
 
-/// Minimum candidate rows per morsel. Queries with fewer than two morsels'
-/// worth of candidates run serially — thread startup would dominate.
+/// Minimum rows per morsel. Inputs with fewer than two morsels' worth of
+/// rows run on one worker — thread startup would dominate.
 pub const MORSEL_MIN_ROWS: usize = 4096;
 
-/// Cardinalities and wall-clock of one morsel of the parallel filter step,
-/// folded into [`Explain`].
+/// The worker count for `rows` input rows under `parallelism`: the policy's
+/// workers from `2 * MORSEL_MIN_ROWS` rows up, one worker below that.
+pub(crate) fn workers_for(parallelism: Parallelism, rows: usize) -> usize {
+    if rows >= 2 * MORSEL_MIN_ROWS {
+        parallelism.workers()
+    } else {
+        1
+    }
+}
+
+/// Cardinalities and wall-clock of one morsel of the filter step, folded
+/// into [`Explain`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MorselTiming {
     /// Candidate rows handed to the morsel.
@@ -70,10 +83,11 @@ pub struct MorselTiming {
     pub seconds: f64,
 }
 
-/// Run `f(0..n)` on `workers` scoped threads pulling indexes off a shared
-/// counter, containing panics as [`CoreError::WorkerPanic`]. Results come
-/// back in index order. Error precedence: a [`CoreError::Cancelled`] wins
-/// (cancellation is the root cause — remaining morsels all observe the
+/// Run `f(0..n)` on `workers` workers pulling indexes off a shared
+/// counter, containing panics as [`CoreError::WorkerPanic`]. One worker
+/// runs inline on the calling thread; more run on scoped threads. Results
+/// come back in index order. Error precedence: a [`CoreError::Cancelled`]
+/// wins (cancellation is the root cause — remaining morsels all observe the
 /// tripped token), then worker panics — aggregated so *every* panicked
 /// morsel is reported, not just the first — then the first other error in
 /// index order.
@@ -86,34 +100,40 @@ fn run_indexed<T: Send>(
     slots.resize_with(n, || None);
     let next = AtomicUsize::new(0);
     let slots_mutex = parking_lot::Mutex::new(&mut slots);
-    std::thread::scope(|s| {
-        for _ in 0..workers.min(n).max(1) {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let outcome = match catch_unwind(AssertUnwindSafe(|| f(i))) {
-                    Ok(r) => r,
-                    Err(payload) => {
-                        let msg = payload
-                            .downcast_ref::<&str>()
-                            .map(|s| s.to_string())
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "non-string panic payload".into());
-                        Err(CoreError::WorkerPanic(format!("query morsel {i}: {msg}")))
-                    }
-                };
-                slots_mutex.lock()[i] = Some(outcome);
-            });
+    let work = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            break;
         }
-    });
+        let outcome = match catch_unwind(AssertUnwindSafe(|| f(i))) {
+            Ok(r) => r,
+            Err(payload) => {
+                let msg = payload
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "non-string panic payload".into());
+                Err(CoreError::WorkerPanic(format!("query morsel {i}: {msg}")))
+            }
+        };
+        slots_mutex.lock()[i] = Some(outcome);
+    };
+    let threads = workers.min(n);
+    if threads <= 1 {
+        work();
+    } else {
+        std::thread::scope(|s| {
+            for _ in 0..threads {
+                s.spawn(work);
+            }
+        });
+    }
     let mut results = Vec::with_capacity(n);
     let mut panics: Vec<String> = Vec::new();
     let mut cancelled: Option<CoreError> = None;
     let mut other: Option<CoreError> = None;
     for s in slots {
-        match s.expect("every slot filled when the scope ends") {
+        match s.expect("every slot filled once the workers finish") {
             Ok(t) => results.push(t),
             Err(e @ CoreError::Cancelled { .. }) => {
                 if cancelled.is_none() {
@@ -140,11 +160,29 @@ fn run_indexed<T: Send>(
     Ok(results)
 }
 
-/// Split `total` work items into per-worker portions of at least
-/// [`MORSEL_MIN_ROWS`], aiming for ~4 morsels per worker so stragglers can
-/// be stolen.
+/// Split `total` work items into portions of at least [`MORSEL_MIN_ROWS`]:
+/// ~4 morsels per worker so stragglers can be stolen, and one morsel at one
+/// worker, where there is nothing to steal and merging would only copy.
+/// The bbox scan checkpoints every [`CHECKPOINT_STRIDE`] rows within a
+/// morsel whatever its size; the refine passes after it checkpoint once per
+/// pass, so at one worker a refine over the whole candidate list runs
+/// between two checkpoints.
 fn morsel_size(total: usize, workers: usize) -> usize {
-    (total / (workers * 4).max(1)).max(MORSEL_MIN_ROWS)
+    let per_morsel = if workers <= 1 { total } else { total / (workers * 4) };
+    per_morsel.max(MORSEL_MIN_ROWS)
+}
+
+/// Concatenate per-morsel row vectors in morsel order. A single morsel's
+/// vector is moved, not copied.
+fn concat(mut parts: Vec<Vec<usize>>) -> Vec<usize> {
+    if parts.len() == 1 {
+        return parts.pop().expect("one part");
+    }
+    let mut out = Vec::with_capacity(parts.iter().map(Vec::len).sum());
+    for p in parts {
+        out.extend(p);
+    }
+    out
 }
 
 /// The read-only context shared by every filter morsel (step 1b).
@@ -161,13 +199,14 @@ pub(crate) struct FilterJob<'a> {
     /// runs traced: workers adopt it so their morsel spans parent there.
     pub trace_ctx: Option<(u64, u64)>,
     /// The query's governance context; morsels checkpoint against it at
-    /// [`CHECKPOINT_STRIDE`]-row boundaries.
+    /// their start, at [`CHECKPOINT_STRIDE`]-row boundaries and after each
+    /// refine pass.
     pub govern: &'a GovernCtx,
 }
 
-/// Morsel-parallel step 1b: exact bbox scan + attribute refines over the
-/// candidate list, merged in morsel order.
-pub(crate) fn parallel_filter(
+/// Step 1b: exact bbox scan + attribute refines over the candidate list,
+/// one morsel at a time, merged in morsel order.
+pub(crate) fn morsel_filter(
     job: &FilterJob<'_>,
     cand: &CandidateList,
     workers: usize,
@@ -182,12 +221,21 @@ pub(crate) fn parallel_filter(
             crate::metrics::Stage::Morsel,
         ));
         let t0 = Instant::now();
+        // Cancellation checkpoints at the start of every morsel (morsels
+        // are often shorter than the stride, so a stride count alone could
+        // scan a whole query without one) and every CHECKPOINT_STRIDE
+        // candidate rows within it. Runs longer than the stride (a
+        // degraded probe can hand one run spanning the whole morsel) are
+        // split so cancellation latency stays bounded by the stride, not
+        // the morsel size. The split is invisible to results: sub-ranges
+        // scan the same rows in order.
+        let checkpoint = |mspan: &mut crate::trace::SpanGuard| {
+            job.govern.checkpoint("bbox_scan").inspect_err(|_| {
+                mspan.add_flags(crate::trace::FLAG_CANCELLED);
+            })
+        };
+        checkpoint(&mut mspan)?;
         let mut rows: Vec<usize> = Vec::new();
-        // Cancellation checkpoints every CHECKPOINT_STRIDE candidate rows.
-        // Runs longer than the stride (a degraded probe can hand one run
-        // spanning the whole morsel) are split so cancellation latency
-        // stays bounded by the stride, not the morsel size. The split is
-        // invisible to results: sub-ranges scan the same rows in order.
         let mut since = 0usize;
         for r in m.ranges() {
             let mut s = r.start;
@@ -204,10 +252,7 @@ pub(crate) fn parallel_filter(
                 s = e;
                 if since >= CHECKPOINT_STRIDE {
                     since = 0;
-                    if let Err(err) = job.govern.checkpoint("bbox_scan") {
-                        mspan.add_flags(crate::trace::FLAG_CANCELLED);
-                        return Err(err);
-                    }
+                    checkpoint(&mut mspan)?;
                 }
             }
         }
@@ -223,20 +268,24 @@ pub(crate) fn parallel_filter(
                 }
             }
         }
+        // Each refine pass over the morsel's rows ends at a checkpoint.
         if let Some(env) = job.env {
             if !job.x_probed {
                 scan_calls += 1;
                 scan_rows += rows.len() as u64;
                 scan::refine_range(job.xs, &mut rows, env.min_x, env.max_x);
+                checkpoint(&mut mspan)?;
             }
             scan_calls += 1;
             scan_rows += rows.len() as u64;
             scan::refine_range(job.ys, &mut rows, env.min_y, env.max_y);
+            checkpoint(&mut mspan)?;
         }
         for a in job.attrs {
             scan_calls += 1;
             scan_rows += rows.len() as u64;
             job.pc.refine_attr_range(&mut rows, &a.column, a.lo, a.hi)?;
+            checkpoint(&mut mspan)?;
         }
         // Selection materialisation is the morsel's memory footprint:
         // charge it (budget trips cancel the query) and record the rows
@@ -264,18 +313,13 @@ pub(crate) fn parallel_filter(
         };
         Ok((rows, timing))
     })?;
-    let mut rows = Vec::new();
-    let mut timings = Vec::with_capacity(results.len());
-    for (r, t) in results {
-        rows.extend(r);
-        timings.push(t);
-    }
-    Ok((rows, timings))
+    let (parts, timings): (Vec<_>, Vec<_>) = results.into_iter().unzip();
+    Ok((concat(parts), timings))
 }
 
-/// Morsel-parallel exhaustive refinement: exact predicate on every
-/// candidate, chunk-wise, merged in order.
-pub(crate) fn parallel_exhaustive(
+/// Exhaustive refinement: exact predicate on every candidate, chunk-wise,
+/// merged in order.
+pub(crate) fn morsel_exhaustive(
     pred: &SpatialPredicate,
     xs: &[f64],
     ys: &[f64],
@@ -298,23 +342,19 @@ pub(crate) fn parallel_exhaustive(
             Ok(out)
         })?
     };
-    rows.clear();
-    for k in kept {
-        rows.extend(k);
-    }
+    *rows = concat(kept);
     Ok(())
 }
 
-/// Morsel-parallel grid refinement, identical in rows *and* Explain cell
-/// counts to the serial [`PointCloud::grid_refine`] path.
+/// Regular-grid refinement, identical in rows *and* Explain cell counts at
+/// every worker count.
 ///
-/// Two passes over row chunks: (1) compute each candidate's cell id in
-/// parallel; then classify every non-empty cell once, serially (same set of
-/// cells the serial path classifies); (2) dispatch each candidate by its
-/// cell class in parallel — Inside keeps, Outside drops, Boundary runs the
-/// exact point test — and merge kept rows in chunk order.
+/// Two passes over row chunks: (1) compute each candidate's cell id; then
+/// classify every non-empty cell once, on the calling thread; (2) dispatch
+/// each candidate by its cell class — Inside keeps, Outside drops, Boundary
+/// runs the exact point test — and merge kept rows in chunk order.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn parallel_grid_refine(
+pub(crate) fn morsel_grid_refine(
     pred: &SpatialPredicate,
     env: &Envelope,
     cells: usize,
@@ -327,9 +367,10 @@ pub(crate) fn parallel_grid_refine(
 ) -> Result<(), CoreError> {
     let w = env.width().max(f64::MIN_POSITIVE);
     let h = env.height().max(f64::MIN_POSITIVE);
-    // The cell-id side table is the refinement's memory footprint: one u32
-    // per candidate, charged before the buffers are built.
-    govern.charge((rows.len() * std::mem::size_of::<u32>()) as u64)?;
+    // The refinement's memory footprint — one u32 cell id per candidate
+    // plus the one-byte-per-cell class table — is charged before either
+    // is built, so an oversized grid cancels instead of allocating.
+    govern.charge((rows.len() * std::mem::size_of::<u32>() + cells * cells) as u64)?;
     let (kept, tests) = {
         let chunks: Vec<&[usize]> = rows.chunks(morsel_size(rows.len(), workers)).collect();
         // Pass 1: bin candidates to cells (cell ids fit u32: cells <= 2048).
@@ -344,8 +385,8 @@ pub(crate) fn parallel_grid_refine(
             }
             Ok(ids)
         })?;
-        // Classify each non-empty cell exactly once (serial: the table scan
-        // is cheap next to the geometry tests).
+        // Classify each non-empty cell exactly once, on the calling thread
+        // (the table scan is cheap next to the geometry tests).
         const EMPTY: u8 = 0;
         const PRESENT: u8 = 1;
         const INSIDE: u8 = 2;
@@ -401,22 +442,17 @@ pub(crate) fn parallel_grid_refine(
             }
             Ok((out, tests))
         })?;
-        let mut kept = Vec::new();
-        let mut tests = 0usize;
-        for (k, t) in results {
-            kept.extend(k);
-            tests += t;
-        }
-        (kept, tests)
+        let (kept, tests): (Vec<_>, Vec<usize>) = results.into_iter().unzip();
+        (concat(kept), tests.into_iter().sum::<usize>())
     };
     explain.exact_tests += tests;
     *rows = kept;
     Ok(())
 }
 
-/// Morsel-parallel aggregation over a typed slice: per-chunk
-/// compensated-sum states, merged in chunk order.
-pub(crate) fn parallel_aggregate<T: Native>(
+/// Aggregation over a typed slice: per-chunk compensated-sum states,
+/// merged in chunk order.
+pub(crate) fn morsel_aggregate<T: Native>(
     data: &[T],
     rows: &[usize],
     workers: usize,
@@ -443,13 +479,32 @@ pub(crate) fn parallel_aggregate<T: Native>(
     Ok(acc)
 }
 
+/// Cell id of a point on the refinement grid laid over `env`.
+#[inline]
+fn grid_cell(env: &Envelope, w: f64, h: f64, cells: usize, x: f64, y: f64) -> usize {
+    let cx = (((x - env.min_x) / w) * cells as f64) as usize;
+    let cy = (((y - env.min_y) / h) * cells as f64) as usize;
+    cy.min(cells - 1) * cells + cx.min(cells - 1)
+}
+
+/// The envelope of one grid cell (inverse of [`grid_cell`]'s binning).
+fn grid_cell_env(env: &Envelope, w: f64, h: f64, cells: usize, cell: usize) -> Envelope {
+    let cx = cell % cells;
+    let cy = cell / cells;
+    Envelope {
+        min_x: env.min_x + w * cx as f64 / cells as f64,
+        min_y: env.min_y + h * cy as f64 / cells as f64,
+        max_x: env.min_x + w * (cx + 1) as f64 / cells as f64,
+        max_y: env.min_y + h * (cy + 1) as f64 / cells as f64,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn parallelism_resolves_workers() {
-        assert_eq!(Parallelism::Serial.workers(), 1);
         assert_eq!(Parallelism::Threads(0).workers(), 1);
         assert_eq!(Parallelism::Threads(6).workers(), 6);
         assert!(Parallelism::Auto.workers() >= 1);
@@ -532,8 +587,16 @@ mod tests {
     }
 
     #[test]
+    fn one_worker_runs_inline_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let ids = run_indexed(1, 5, |_| Ok::<_, CoreError>(std::thread::current().id())).unwrap();
+        assert!(ids.iter().all(|&id| id == caller), "no thread spawned at one worker");
+    }
+
+    #[test]
     fn morsel_size_floor() {
         assert_eq!(morsel_size(100, 8), MORSEL_MIN_ROWS);
         assert_eq!(morsel_size(1_000_000, 4), 62_500);
+        assert_eq!(morsel_size(1_000_000, 1), 1_000_000);
     }
 }

@@ -6,10 +6,10 @@
 //! * [`CancelToken`] — a shareable cancellation handle combining a wall
 //!   clock deadline, a manual kill switch (`KILL <id>`), and a
 //!   memory-budget trip. The query path polls it at bounded-stride
-//!   checkpoints — morsel boundaries in `core::exec` and
-//!   [`CHECKPOINT_STRIDE`]-row chunks inside the serial scan/refine
-//!   loops — so cancellation latency is bounded by one stride of work,
-//!   never by the whole query.
+//!   checkpoints — the start of every morsel in `core::exec` and
+//!   [`CHECKPOINT_STRIDE`]-row chunks inside each morsel — so
+//!   cancellation latency is bounded by one stride of work, never by the
+//!   whole query.
 //! * [`MemBudget`] — byte accounting charged at the query's
 //!   materialisation sites (candidate runs, selection rows, grid-refine
 //!   buffers); exceeding the budget trips the token and the query
@@ -187,8 +187,8 @@ impl CancelToken {
     }
 
     /// Build the terminal error for this token. Display deliberately
-    /// omits `elapsed` (carried for programmatic use) so a serial and a
-    /// parallel cancellation of the same query render identically.
+    /// omits `elapsed` (carried for programmatic use) so cancellations of
+    /// the same query at different worker counts render identically.
     pub fn cancelled(&self, partial_rows: usize) -> CoreError {
         CoreError::Cancelled {
             reason: self.reason().unwrap_or(CancelReason::Killed),

@@ -618,8 +618,8 @@ impl QueryProfile {
 
     /// Every deterministic counter of the profile as `(name, value)`
     /// pairs — cardinalities and probe counts, no timings. The
-    /// differential suite asserts these are identical between serial and
-    /// parallel runs of the same query.
+    /// differential suite asserts these are identical between runs of the
+    /// same query at different worker counts.
     pub fn counters(&self) -> Vec<(&'static str, u64)> {
         let e = &self.explain;
         vec![

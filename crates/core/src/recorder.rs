@@ -27,7 +27,7 @@
 //! * **Lock-free readers.** Every slot carries a seqlock word (odd while
 //!   the writer is inside, `2·claim + 2` when stable); readers detect torn
 //!   or lapped slots and skip them. Writers (the sampler thread, plus
-//!   tests calling [`Recorder::sample_now`]) serialise on a mutex — the
+//!   tests calling `sample_now`/`sample_from`) serialise on a mutex — the
 //!   write path runs a few times per second, so contention is not a
 //!   concern there; the *read* path never blocks a scrape or a query.
 //!
@@ -126,8 +126,7 @@ pub fn series_names() -> &'static [&'static str] {
     })
 }
 
-fn collect_values() -> Vec<u64> {
-    let m = MetricsRegistry::global();
+fn collect_values(m: &MetricsRegistry) -> Vec<u64> {
     m.counter_values()
         .iter()
         .map(|(_, v)| *v)
@@ -268,11 +267,17 @@ impl Recorder {
             .expect("spawn recorder sampler");
     }
 
-    /// Take one sample right now (the sampler's tick; also the
-    /// deterministic entry point for tests).
+    /// Take one sample of the process-wide registry right now (the
+    /// sampler's tick).
     pub fn sample_now(&self) {
-        let values = collect_values();
-        let uptime = MetricsRegistry::global().uptime_ns();
+        self.sample_from(MetricsRegistry::global());
+    }
+
+    /// Take one sample of `m` right now. The in-module tests sample a
+    /// private registry through it, one no other test bumps.
+    fn sample_from(&self, m: &MetricsRegistry) {
+        let values = collect_values(m);
+        let uptime = m.uptime_ns();
         let mut w = self.writer.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let claim = w.claim;
         let keyframe = w.prev.is_none() || claim.is_multiple_of(KEYFRAME_EVERY);
@@ -456,11 +461,11 @@ mod tests {
         let r = Recorder::new();
         assert!(r.latest().is_none());
         assert!(r.snapshot().is_empty());
-        let m = MetricsRegistry::global();
+        let m = MetricsRegistry::default();
         for i in 0..5 {
             m.queries.add(3);
             m.table_rows.set(1000 + i);
-            r.sample_now();
+            r.sample_from(&m);
         }
         let snap = r.snapshot();
         assert_eq!(snap.len(), 5);
@@ -483,11 +488,11 @@ mod tests {
     #[test]
     fn ring_laps_and_keyframes_resync() {
         let r = Recorder::new();
-        let m = MetricsRegistry::global();
+        let m = MetricsRegistry::default();
         let total = RECORDER_SLOTS as u64 + 3 * KEYFRAME_EVERY;
         for _ in 0..total {
             m.queries.inc();
-            r.sample_now();
+            r.sample_from(&m);
         }
         let snap = r.snapshot();
         // The ring holds at most RECORDER_SLOTS samples; after a lap the
@@ -508,7 +513,7 @@ mod tests {
     #[test]
     fn concurrent_readers_never_see_torn_samples() {
         let r: &'static Recorder = Box::leak(Box::new(Recorder::new()));
-        let m = MetricsRegistry::global();
+        let m = MetricsRegistry::default();
         let readers: Vec<_> = (0..3)
             .map(|_| {
                 std::thread::spawn(move || {
@@ -523,7 +528,7 @@ mod tests {
             .collect();
         for _ in 0..2000 {
             m.queries.inc();
-            r.sample_now();
+            r.sample_from(&m);
         }
         for h in readers {
             h.join().unwrap();

@@ -641,7 +641,8 @@ impl TraceSink {
 pub struct SlowQuery {
     /// The query's trace id.
     pub trace_id: u64,
-    /// Total wall-clock seconds (the ranking key).
+    /// End-to-end wall-clock seconds: the query's own run time plus its
+    /// admission-queue wait — the ranking key.
     pub seconds: f64,
     /// Seconds spent waiting in the admission queue before execution
     /// started — part of `seconds`, recorded separately so a slow entry

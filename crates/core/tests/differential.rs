@@ -1,8 +1,12 @@
-//! Differential tests: the morsel-parallel executor must produce results
-//! **identical** to the serial path — same `Selection.rows`, same Explain
-//! cardinalities (candidates, bbox survivors, cell classes, exact tests) —
-//! for every predicate shape, refinement strategy, and worker count,
-//! including queries degraded by injected imprint-build faults.
+//! Differential tests of the one query executor against itself and
+//! against an oracle. A query run at one worker (morsels inline on the
+//! calling thread) and at N workers must return **identical** results —
+//! same `Selection.rows`, same Explain cardinalities (candidates, bbox
+//! survivors, cell classes, exact tests) — for every predicate shape,
+//! refinement strategy, and worker count, including queries degraded by
+//! injected imprint-build faults. The rows must also equal a brute-force
+//! oracle that shares no code with the executor: every visible row whose
+//! point passes `SpatialPredicate::matches` and every `AttrRange`.
 //!
 //! Worker counts default to `[2, 4, 8]`; set `LIDARDB_WORKERS=<n>` to pin
 //! a single count (CI runs the suite at 2 and at 8 on top of the default).
@@ -71,7 +75,7 @@ fn workload(n: usize, seed: u64) -> Vec<PointRecord> {
 }
 
 /// The shared 120k-point cloud (large enough that realistic predicates
-/// exceed the `2 * MORSEL_MIN_ROWS` threshold and actually go parallel).
+/// exceed the `2 * MORSEL_MIN_ROWS` threshold and run on several workers).
 fn shared_cloud() -> &'static Arc<PointCloud> {
     static CLOUD: OnceLock<Arc<PointCloud>> = OnceLock::new();
     CLOUD.get_or_init(|| Arc::new(build_cloud(120_000, 0xC0FFEE)))
@@ -127,24 +131,62 @@ fn road() -> SpatialPredicate {
 
 // ------------------------------------------------------------- the oracle
 
-/// Run the query serially and at every worker count; assert rows AND all
-/// Explain cardinalities are identical. Returns the serial rows.
+/// Brute force, sharing no code with the executor: every visible row whose
+/// point passes the predicate (its bbox under `BboxOnly`) and every
+/// attribute range.
+fn oracle(
+    pc: &PointCloud,
+    pred: Option<&SpatialPredicate>,
+    attrs: &[AttrRange],
+    strategy: RefineStrategy,
+) -> Vec<usize> {
+    let xs = pc.f64_column("x").unwrap();
+    let ys = pc.f64_column("y").unwrap();
+    let attr_values: Vec<Vec<f64>> = attrs
+        .iter()
+        .map(|a| {
+            let col = pc.column(&a.column).unwrap();
+            (0..pc.visible_rows()).map(|i| col.get(i).unwrap().as_f64()).collect()
+        })
+        .collect();
+    let env = pred.and_then(|p| p.filter_envelope());
+    (0..pc.visible_rows())
+        .filter(|&i| match (pred, strategy) {
+            (None, _) => true,
+            (Some(_), RefineStrategy::BboxOnly) => env.is_some_and(|e| {
+                (e.min_x..=e.max_x).contains(&xs[i]) && (e.min_y..=e.max_y).contains(&ys[i])
+            }),
+            (Some(p), _) => p.matches(&Point::new(xs[i], ys[i])),
+        })
+        .filter(|&i| {
+            attrs
+                .iter()
+                .zip(&attr_values)
+                .all(|(a, v)| a.lo <= v[i] && v[i] <= a.hi)
+        })
+        .collect()
+}
+
+/// Run the query at one worker and at every worker count; assert rows AND
+/// all Explain cardinalities are identical, and rows equal the oracle.
+/// Returns the rows.
 fn assert_differential(
     pc: &PointCloud,
     pred: Option<&SpatialPredicate>,
     attrs: &[AttrRange],
     strategy: RefineStrategy,
 ) -> Vec<usize> {
-    let serial = pc
-        .select_query_with(pred, attrs, strategy, Parallelism::Serial)
+    let one = pc
+        .select_query_with(pred, attrs, strategy, Parallelism::Threads(1))
         .unwrap();
-    assert_eq!(serial.explain.workers, 1, "serial path reports one worker");
+    assert_eq!(one.rows, oracle(pc, pred, attrs, strategy), "rows differ from the oracle");
+    assert_eq!(one.explain.workers, 1, "Threads(1) reports one worker");
     for &w in &worker_counts() {
         let par = pc
             .select_query_with(pred, attrs, strategy, Parallelism::Threads(w))
             .unwrap();
-        assert_eq!(serial.rows, par.rows, "rows differ at {w} workers");
-        let (a, b) = (&serial.explain, &par.explain);
+        assert_eq!(one.rows, par.rows, "rows differ at {w} workers");
+        let (a, b) = (&one.explain, &par.explain);
         assert_eq!(a.after_imprints, b.after_imprints, "{w} workers");
         assert_eq!(a.sure_rows, b.sure_rows, "{w} workers");
         assert_eq!(a.after_bbox, b.after_bbox, "{w} workers");
@@ -160,20 +202,22 @@ fn assert_differential(
         // The whole named-counter view must agree, not just the fields
         // spelled out above — new counters are covered automatically.
         assert_eq!(
-            serial.profile.counters(),
+            one.profile.counters(),
             par.profile.counters(),
             "QueryProfile counters differ at {w} workers"
         );
-        if b.after_imprints >= 2 * MORSEL_MIN_ROWS {
-            assert_eq!(b.workers, w, "parallel path engaged");
-            assert!(!b.morsel_times.is_empty(), "morsel timings recorded");
+        let expect_workers = if b.after_imprints >= 2 * MORSEL_MIN_ROWS { w } else { 1 };
+        assert_eq!(b.workers, expect_workers, "worker count follows the input size");
+        if b.workers > 1 {
+            assert!(!b.morsel_times.is_empty(), "morsel timings recorded at {w} workers");
             let morsel_rows: usize = b.morsel_times.iter().map(|m| m.rows_in).sum();
-            assert_eq!(morsel_rows, b.after_imprints, "morsels partition candidates");
-        } else {
-            assert_eq!(b.workers, 1, "small candidate sets stay serial");
+            assert_eq!(morsel_rows, b.after_imprints, "morsels partition candidates at {w} workers");
         }
     }
-    serial.rows
+    // Morsels partition the candidates at every worker count, one included.
+    let morsel_rows: usize = one.explain.morsel_times.iter().map(|m| m.rows_in).sum();
+    assert_eq!(morsel_rows, one.explain.after_imprints, "morsels partition candidates");
+    one.rows
 }
 
 // ---------------------------------------------------- deterministic suite
@@ -203,7 +247,7 @@ fn differential_polygon_all_strategies() {
 
 /// Degenerate morsel shapes end to end: candidate sets with fewer rows
 /// than workers, a sliver window cutting one run, and an empty window.
-/// The parallel executor must merge byte-identical rows at 2/4/8 workers
+/// The executor must merge byte-identical rows at 1/2/4/8 workers
 /// with no empty morsels inflating the explain counters.
 #[test]
 fn differential_degenerate_candidate_sets() {
@@ -282,9 +326,9 @@ fn differential_spatial_plus_attrs() {
 fn differential_mid_ingest_snapshot() {
     // The executor parity contract must hold against a *live* ingesting
     // cloud: with group commit deferring durability, the WAL has applied
-    // rows past the visibility watermark. Serial and every parallel run
-    // must return byte-identical results, and all of them must see exactly
-    // the committed snapshot — never the unacknowledged tail.
+    // rows past the visibility watermark. Every worker count must return
+    // byte-identical results, and all of them must see exactly the
+    // committed snapshot — never the unacknowledged tail.
     let dir = std::env::temp_dir().join(format!("lidardb_diff_ingest_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_file(wal::wal_path_for(&dir));
@@ -316,12 +360,12 @@ fn differential_mid_ingest_snapshot() {
     // identically — the snapshot IS the 60k-row cloud, bit for bit.
     let oracle = build_cloud(60_000, 0xD1FF);
     let expect = oracle
-        .select_query_with(Some(&pred), &attrs, RefineStrategy::default(), Parallelism::Serial)
+        .select_query_with(Some(&pred), &attrs, RefineStrategy::default(), Parallelism::Threads(1))
         .unwrap();
     assert_eq!(rows, expect.rows, "snapshot equals the committed prefix");
 
     // After the flush the watermark advances and the same query picks up
-    // the tail — again identically across executors.
+    // the tail — again identically at every worker count.
     pc.flush_wal().unwrap();
     assert_eq!(pc.visible_rows(), 80_000);
     let rows2 = assert_differential(&pc, Some(&pred), &attrs, RefineStrategy::default());
@@ -331,7 +375,7 @@ fn differential_mid_ingest_snapshot() {
 }
 
 #[test]
-fn differential_small_cloud_stays_serial() {
+fn differential_small_cloud_runs_on_one_worker() {
     let pc = build_cloud(2000, 7);
     let rows = assert_differential(
         &pc,
@@ -345,41 +389,21 @@ fn differential_small_cloud_stays_serial() {
 #[test]
 fn differential_with_injected_imprint_faults() {
     // A failed imprint build degrades the probe (no pruning, exact scan
-    // enforces the predicate); both executors must degrade identically.
+    // enforces the predicate); every worker count must degrade identically.
     for target in [Some("x"), None] {
         let mut pc = build_cloud(40_000, 99);
         let fi = Arc::new(FaultInjector::new());
         // Fire on every build attempt (failed builds are not cached, so
-        // both the serial and every parallel run re-hit the injector).
+        // every run re-hits the injector).
         fi.inject_n(FaultStage::ImprintBuild, target, FaultKind::IoError, 0, u32::MAX);
         pc.set_fault_injector(Arc::clone(&fi));
-        let serial = pc
-            .select_query_with(
-                Some(&diamond(500.0, 500.0, 400.0)),
-                &[AttrRange::new("classification", 1.0, 9.0)],
-                RefineStrategy::default(),
-                Parallelism::Serial,
-            )
+        let pred = diamond(500.0, 500.0, 400.0);
+        let attrs = [AttrRange::new("classification", 1.0, 9.0)];
+        let degraded = pc
+            .select_query_with(Some(&pred), &attrs, RefineStrategy::default(), Parallelism::Threads(1))
             .unwrap();
-        assert!(serial.explain.degraded_probes > 0, "fault fired");
-        for &w in &worker_counts() {
-            let par = pc
-                .select_query_with(
-                    Some(&diamond(500.0, 500.0, 400.0)),
-                    &[AttrRange::new("classification", 1.0, 9.0)],
-                    RefineStrategy::default(),
-                    Parallelism::Threads(w),
-                )
-                .unwrap();
-            assert_eq!(serial.rows, par.rows, "degraded rows differ at {w} workers");
-            assert_eq!(serial.explain.degraded_probes, par.explain.degraded_probes);
-            assert_eq!(serial.explain.result_rows, par.explain.result_rows);
-            assert_eq!(
-                serial.profile.counters(),
-                par.profile.counters(),
-                "degraded QueryProfile counters differ at {w} workers"
-            );
-        }
+        assert!(degraded.explain.degraded_probes > 0, "fault fired");
+        assert_differential(&pc, Some(&pred), &attrs, RefineStrategy::default());
     }
 }
 
@@ -392,11 +416,11 @@ fn differential_aggregates() {
         &[],
         RefineStrategy::default(),
     );
-    assert!(rows.len() >= 2 * MORSEL_MIN_ROWS, "parallel aggregate engages");
+    assert!(rows.len() >= 2 * MORSEL_MIN_ROWS, "multi-worker aggregate engages");
     for column in ["z", "intensity", "classification", "gps_time"] {
         for agg in [Aggregate::Sum, Aggregate::Avg, Aggregate::Min, Aggregate::Max] {
-            let serial = pc
-                .aggregate_with(&rows, column, agg, Parallelism::Serial)
+            let one = pc
+                .aggregate_with(&rows, column, agg, Parallelism::Threads(1))
                 .unwrap()
                 .unwrap();
             for &w in &worker_counts() {
@@ -406,15 +430,15 @@ fn differential_aggregates() {
                     .unwrap();
                 match agg {
                     // Min/Max are order-independent: bit-identical.
-                    Aggregate::Min | Aggregate::Max => assert_eq!(serial, par, "{column} {agg:?}"),
+                    Aggregate::Min | Aggregate::Max => assert_eq!(one, par, "{column} {agg:?}"),
                     // Compensated sums may differ in the last ulps when
                     // per-morsel states merge; both stay within 1e-12
                     // relative of each other.
                     _ => {
-                        let tol = 1e-12 * serial.abs().max(1.0);
+                        let tol = 1e-12 * one.abs().max(1.0);
                         assert!(
-                            (serial - par).abs() <= tol,
-                            "{column} {agg:?} at {w} workers: {serial} vs {par}"
+                            (one - par).abs() <= tol,
+                            "{column} {agg:?} at {w} workers: {one} vs {par}"
                         );
                     }
                 }
@@ -424,29 +448,30 @@ fn differential_aggregates() {
 }
 
 #[test]
-fn differential_span_trees_serial_vs_parallel() {
-    // Traced serial and parallel runs must produce span trees with the
-    // same stage set and identical per-stage row counts; only the
-    // parallel run adds per-morsel worker spans.
+fn differential_span_trees_agree_across_worker_counts() {
+    // Traced runs at one and at four workers must produce span trees with
+    // the same stage set and identical per-stage row counts; at both, the
+    // morsel spans partition the candidates.
     let pc = shared_cloud();
     let pred = diamond(500.0, 500.0, 350.0);
     // Warm the lazy imprints so neither traced run records a build span.
     pc.select_with(&pred, RefineStrategy::default()).unwrap();
 
-    let (serial, par);
-    {
+    let runs: Vec<_> = {
         let _traced = lidardb_core::trace::force_thread();
-        serial = pc
-            .select_query_with(Some(&pred), &[], RefineStrategy::default(), Parallelism::Serial)
-            .unwrap();
-        par = pc
-            .select_query_with(Some(&pred), &[], RefineStrategy::default(), Parallelism::Threads(4))
-            .unwrap();
-    }
-    assert_eq!(serial.rows, par.rows);
-    let serial_tid = serial.profile.trace_id.expect("serial run traced");
-    let par_tid = par.profile.trace_id.expect("parallel run traced");
-    assert_ne!(serial_tid, par_tid, "each query gets its own trace id");
+        [1, 4]
+            .map(|w| {
+                pc.select_query_with(Some(&pred), &[], RefineStrategy::default(), Parallelism::Threads(w))
+                    .unwrap()
+            })
+            .into()
+    };
+    assert_eq!(runs[0].rows, runs[1].rows);
+    let tids: Vec<u64> = runs
+        .iter()
+        .map(|r| r.profile.trace_id.expect("run traced"))
+        .collect();
+    assert_ne!(tids[0], tids[1], "each query gets its own trace id");
 
     let sink = lidardb_core::Tracer::global().snapshot();
     let stage_rows = |tid: u64| {
@@ -460,33 +485,28 @@ fn differential_span_trees_serial_vs_parallel() {
         v.sort_unstable();
         v
     };
-    let serial_tree = stage_rows(serial_tid);
+    let tree = stage_rows(tids[0]);
     assert_eq!(
-        serial_tree,
-        stage_rows(par_tid),
-        "serial and parallel span trees disagree on stages or row counts"
+        tree,
+        stage_rows(tids[1]),
+        "1- and 4-worker span trees disagree on stages or row counts"
     );
     for want in ["query", "imprint_probe", "bbox_scan", "grid_refine"] {
-        assert!(serial_tree.iter().any(|(n, _)| *n == want), "missing {want}");
+        assert!(tree.iter().any(|(n, _)| *n == want), "missing {want}");
     }
 
-    // Morsel spans: absent serially, partition the candidates in parallel.
-    let morsels: Vec<_> = sink
-        .for_trace(par_tid)
-        .spans
-        .into_iter()
-        .filter(|s| s.kind.name() == "morsel")
-        .collect();
-    assert!(
-        !sink.for_trace(serial_tid).spans.iter().any(|s| s.kind.name() == "morsel"),
-        "serial run must not record morsel spans"
-    );
-    if par.explain.after_imprints >= 2 * MORSEL_MIN_ROWS {
-        assert!(!morsels.is_empty(), "parallel run records morsel spans");
+    for (run, tid) in runs.iter().zip(tids) {
+        let morsels: Vec<_> = sink
+            .for_trace(tid)
+            .spans
+            .into_iter()
+            .filter(|s| s.kind.name() == "morsel")
+            .collect();
+        assert!(!morsels.is_empty(), "{} workers record morsel spans", run.explain.workers);
         let rows_in: u64 = morsels.iter().map(|m| m.rows_in).sum();
         let rows_out: u64 = morsels.iter().map(|m| m.rows_out).sum();
-        assert_eq!(rows_in, par.explain.after_imprints as u64, "morsels partition candidates");
-        assert_eq!(rows_out, par.explain.after_bbox as u64, "morsel survivors sum to bbox count");
+        assert_eq!(rows_in, run.explain.after_imprints as u64, "morsels partition candidates");
+        assert_eq!(rows_out, run.explain.after_bbox as u64, "morsel survivors sum to bbox count");
     }
 }
 
@@ -518,52 +538,52 @@ fn governed_run(
 }
 
 #[test]
-fn differential_cancel_fault_is_identical_serial_and_parallel() {
+fn differential_cancel_fault_is_identical_at_every_worker_count() {
     // The Cancel fault targets the "query" checkpoint, which runs before
-    // the serial/parallel fork — both executors must return byte-identical
-    // Cancelled errors.
+    // the worker count is chosen — every worker count must return
+    // byte-identical Cancelled errors.
     let rules = [(FaultStage::QueryCheckpoint, Some("query"), FaultKind::Cancel)];
-    let serial = governed_run(Parallelism::Serial, None, &rules).unwrap_err();
-    assert!(serial.contains("cancelled") && serial.contains("killed"), "{serial}");
+    let one = governed_run(Parallelism::Threads(1), None, &rules).unwrap_err();
+    assert!(one.contains("cancelled") && one.contains("killed"), "{one}");
     for &w in &worker_counts() {
         let par = governed_run(Parallelism::Threads(w), None, &rules).unwrap_err();
-        assert_eq!(serial, par, "cancelled errors differ at {w} workers");
+        assert_eq!(one, par, "cancelled errors differ at {w} workers");
     }
 }
 
 #[test]
 fn differential_stall_fault_trips_deadline_identically() {
     // Stall sleeps at the checkpoint; the expired deadline then trips at
-    // that same checkpoint with zero partial rows on both paths.
+    // that same checkpoint with zero partial rows at every worker count.
     let rules = [(
         FaultStage::QueryCheckpoint,
         Some("query"),
         FaultKind::Stall(30),
     )];
     let deadline = Some(std::time::Duration::from_millis(5));
-    let serial = governed_run(Parallelism::Serial, deadline, &rules).unwrap_err();
-    assert!(serial.contains("deadline"), "{serial}");
-    assert!(serial.contains("after 0 partial rows"), "{serial}");
+    let one = governed_run(Parallelism::Threads(1), deadline, &rules).unwrap_err();
+    assert!(one.contains("deadline"), "{one}");
+    assert!(one.contains("after 0 partial rows"), "{one}");
     for &w in &worker_counts() {
         let par = governed_run(Parallelism::Threads(w), deadline, &rules).unwrap_err();
-        assert_eq!(serial, par, "deadline errors differ at {w} workers");
+        assert_eq!(one, par, "deadline errors differ at {w} workers");
     }
 }
 
 #[test]
 fn differential_stall_without_deadline_leaves_results_identical() {
     // A Stall fault alone (no deadline to trip) slows the query down but
-    // must not change its result: serial and parallel stay byte-identical
-    // with each other and with the ungoverned baseline.
-    let baseline = governed_run(Parallelism::Serial, None, &[]).unwrap();
+    // must not change its result: every worker count stays byte-identical
+    // with the ungoverned baseline.
+    let baseline = governed_run(Parallelism::Threads(1), None, &[]).unwrap();
     for site in ["query", "bbox_scan"] {
         let rules = [(
             FaultStage::QueryCheckpoint,
             Some(site),
             FaultKind::Stall(5),
         )];
-        let serial = governed_run(Parallelism::Serial, None, &rules).unwrap();
-        assert_eq!(baseline, serial, "stall at {site} changed serial rows");
+        let one = governed_run(Parallelism::Threads(1), None, &rules).unwrap();
+        assert_eq!(baseline, one, "stall at {site} changed rows at 1 worker");
         for &w in &worker_counts() {
             let par = governed_run(Parallelism::Threads(w), None, &rules).unwrap();
             assert_eq!(baseline, par, "stall at {site} changed rows at {w} workers");
@@ -577,7 +597,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn parallel_equals_serial_on_random_queries(
+    fn n_workers_equal_one_worker_and_oracle_on_random_queries(
         ax in 0.0f64..1000.0,
         ay in 0.0f64..1000.0,
         w in 50.0f64..900.0,
@@ -622,26 +642,28 @@ proptest! {
             let fi = Arc::new(FaultInjector::new());
             fi.inject_n(FaultStage::ImprintBuild, None, FaultKind::IoError, 0, u32::MAX);
             pc.set_fault_injector(fi);
-            let serial = pc
-                .select_query_with(Some(&pred), &attrs, strategy, Parallelism::Serial)
+            let one = pc
+                .select_query_with(Some(&pred), &attrs, strategy, Parallelism::Threads(1))
                 .unwrap();
             let par = pc
                 .select_query_with(Some(&pred), &attrs, strategy, Parallelism::Threads(workers))
                 .unwrap();
-            prop_assert!(serial.explain.degraded_probes > 0);
-            prop_assert_eq!(serial.rows, par.rows);
+            prop_assert!(one.explain.degraded_probes > 0);
+            prop_assert_eq!(&one.rows, &oracle(&pc, Some(&pred), &attrs, strategy));
+            prop_assert_eq!(one.rows, par.rows);
         } else {
             let pc = shared_cloud();
-            let serial = pc
-                .select_query_with(Some(&pred), &attrs, strategy, Parallelism::Serial)
+            let one = pc
+                .select_query_with(Some(&pred), &attrs, strategy, Parallelism::Threads(1))
                 .unwrap();
             let par = pc
                 .select_query_with(Some(&pred), &attrs, strategy, Parallelism::Threads(workers))
                 .unwrap();
-            prop_assert_eq!(&serial.rows, &par.rows);
-            prop_assert_eq!(serial.explain.after_bbox, par.explain.after_bbox);
-            prop_assert_eq!(serial.explain.result_rows, par.explain.result_rows);
-            prop_assert_eq!(serial.explain.exact_tests, par.explain.exact_tests);
+            prop_assert_eq!(&one.rows, &oracle(pc, Some(&pred), &attrs, strategy));
+            prop_assert_eq!(&one.rows, &par.rows);
+            prop_assert_eq!(one.explain.after_bbox, par.explain.after_bbox);
+            prop_assert_eq!(one.explain.result_rows, par.explain.result_rows);
+            prop_assert_eq!(one.explain.exact_tests, par.explain.exact_tests);
         }
     }
 }

@@ -75,7 +75,7 @@ fn full_admission_queue_sheds_with_overloaded() {
             Some(&rect(100.0, 100.0, 900.0, 900.0)),
             &[],
             RefineStrategy::default(),
-            Parallelism::Serial,
+            Parallelism::Threads(1),
         )
         .unwrap_err();
     assert!(matches!(err, CoreError::Overloaded), "{err}");
@@ -92,7 +92,7 @@ fn full_admission_queue_sheds_with_overloaded() {
             Some(&rect(100.0, 100.0, 900.0, 900.0)),
             &[],
             RefineStrategy::default(),
-            Parallelism::Serial,
+            Parallelism::Threads(1),
         )
         .expect("admitted after the permit is released");
     assert!(!sel.rows.is_empty());
@@ -112,7 +112,7 @@ fn queued_query_times_out_when_permit_never_frees() {
             Some(&rect(0.0, 0.0, 500.0, 500.0)),
             &[],
             RefineStrategy::default(),
-            Parallelism::Serial,
+            Parallelism::Threads(1),
             Some(Duration::from_millis(20)),
             None,
         )
@@ -165,7 +165,7 @@ fn slow_log_stays_bounded_under_concurrent_cancellation_storm() {
                     Some(&pred),
                     &[],
                     RefineStrategy::default(),
-                    Parallelism::Serial,
+                    Parallelism::Threads(1),
                     &ctx,
                 )
             })
@@ -209,7 +209,7 @@ fn cancelled_query_renders_in_slow_log_tree() {
             Some(&rect(0.0, 0.0, 1000.0, 1000.0)),
             &[],
             RefineStrategy::default(),
-            Parallelism::Serial,
+            Parallelism::Threads(1),
             None,
             Some(1), // 1-byte budget: trips at the first materialisation
         )
@@ -239,35 +239,69 @@ fn cancelled_query_renders_in_slow_log_tree() {
 // -------------------------------------------------- cancellation latency
 
 #[test]
-fn serial_cancellation_lands_within_one_checkpoint_stride() {
+fn cancellation_lands_within_one_checkpoint_stride() {
     // A Cancel fault armed at the first bbox_scan checkpoint must stop a
-    // long serial scan at that stride boundary: the typed error reports
-    // zero materialised partial rows even though the full query would
-    // return far more than one stride's worth.
-    let mut pc = build_cloud(200_000, 0xD0D);
-    let pred = rect(0.0, 0.0, 1000.0, 1000.0);
-    let full = pc
-        .select_query_with(Some(&pred), &[], RefineStrategy::default(), Parallelism::Serial)
-        .expect("baseline run")
-        .rows
-        .len();
-    assert!(
-        full > CHECKPOINT_STRIDE,
-        "cloud must be larger than one stride for the bound to mean anything"
-    );
+    // long scan at that boundary, at one worker and at two: the typed
+    // error reports at most one stride of materialised partial rows even
+    // though the full query would return far more.
+    for par in [Parallelism::Threads(1), Parallelism::Threads(2)] {
+        let mut pc = build_cloud(200_000, 0xD0D);
+        let pred = rect(0.0, 0.0, 1000.0, 1000.0);
+        let full = pc
+            .select_query_with(Some(&pred), &[], RefineStrategy::default(), par)
+            .expect("baseline run")
+            .rows
+            .len();
+        assert!(
+            full > CHECKPOINT_STRIDE,
+            "cloud must be larger than one stride for the bound to mean anything"
+        );
 
-    let fi = Arc::new(FaultInjector::new());
-    fi.inject(FaultStage::QueryCheckpoint, Some("bbox_scan"), FaultKind::Cancel);
-    pc.set_fault_injector(fi);
-    let err = pc
-        .select_query_with(Some(&pred), &[], RefineStrategy::default(), Parallelism::Serial)
-        .unwrap_err();
-    match err {
-        CoreError::Cancelled { partial_rows, .. } => assert!(
-            partial_rows <= CHECKPOINT_STRIDE,
-            "cancelled after at most one stride of materialised rows, got {partial_rows}"
-        ),
-        other => panic!("expected Cancelled, got {other}"),
+        let fi = Arc::new(FaultInjector::new());
+        fi.inject(FaultStage::QueryCheckpoint, Some("bbox_scan"), FaultKind::Cancel);
+        pc.set_fault_injector(fi);
+        let err = pc
+            .select_query_with(Some(&pred), &[], RefineStrategy::default(), par)
+            .unwrap_err();
+        match err {
+            CoreError::Cancelled { partial_rows, .. } => assert!(
+                partial_rows <= CHECKPOINT_STRIDE,
+                "{par:?}: cancelled after at most one stride of materialised rows, got {partial_rows}"
+            ),
+            other => panic!("{par:?}: expected Cancelled, got {other}"),
+        }
+
+        // Refine passes are not stride-bounded, but each one ends at a
+        // checkpoint: every attribute range adds one bbox_scan checkpoint
+        // per morsel.
+        let attrs = [
+            AttrRange::new("intensity", 0.0, 4095.0),
+            AttrRange::new("classification", 0.0, 9.0),
+        ];
+        let mut count_checkpoints = |attrs: &[AttrRange]| {
+            let fi = Arc::new(FaultInjector::new());
+            fi.inject_n(
+                FaultStage::QueryCheckpoint,
+                Some("bbox_scan"),
+                FaultKind::Stall(0),
+                0,
+                u32::MAX,
+            );
+            pc.set_fault_injector(Arc::clone(&fi));
+            let sel = pc
+                .select_query_with(Some(&pred), attrs, RefineStrategy::default(), par)
+                .expect("stall-free run");
+            let e = &sel.explain;
+            (fi.fired().len(), e.after_imprints, e.morsel_times.len())
+        };
+        let (plain, plain_candidates, _) = count_checkpoints(&[]);
+        let (filtered, candidates, morsels) = count_checkpoints(&attrs);
+        assert_eq!(plain_candidates, candidates, "{par:?}: same candidates");
+        assert_eq!(
+            filtered - plain,
+            morsels * attrs.len(),
+            "{par:?}: a checkpoint after every attribute refine of every morsel"
+        );
     }
 }
 
@@ -289,11 +323,7 @@ fn hundred_governed_queries_with_attr_filters_all_resolve() {
                     Some(&pred),
                     &[AttrRange::new("classification", 1.0, 8.0)],
                     RefineStrategy::default(),
-                    if i % 2 == 0 {
-                        Parallelism::Serial
-                    } else {
-                        Parallelism::Threads(2)
-                    },
+                    Parallelism::Threads(1 + (i % 2) as usize),
                     deadline,
                     budget,
                 )
@@ -330,7 +360,7 @@ fn slow_log_reports_nonzero_queue_wait_for_queued_query() {
                 Some(&rect(100.0, 100.0, 900.0, 900.0)),
                 &[],
                 RefineStrategy::default(),
-                Parallelism::Serial,
+                Parallelism::Threads(1),
                 Some(Duration::from_secs(30)),
                 None,
             )
@@ -390,7 +420,7 @@ fn queue_wait_counts_against_statement_deadline() {
                 Some(&rect(100.0, 100.0, 900.0, 900.0)),
                 &[],
                 RefineStrategy::default(),
-                Parallelism::Serial,
+                Parallelism::Threads(1),
                 Some(Duration::from_millis(DEADLINE_MS)),
                 None,
             );

@@ -201,7 +201,7 @@ fn metrics_smoke() {
             Some(&pred),
             &[AttrRange::new("classification", 1.0, 8.0)],
             RefineStrategy::default(),
-            Parallelism::Serial,
+            Parallelism::Threads(1),
         )
         .unwrap();
     let wall = wall.elapsed().as_secs_f64();
@@ -238,7 +238,7 @@ fn metrics_smoke() {
 
     // An aggregate records its own stage.
     let agg_calls = metrics.stage(Stage::Aggregate).calls.get();
-    pc.aggregate_with(&sel.rows, "z", Aggregate::Avg, Parallelism::Serial)
+    pc.aggregate_with(&sel.rows, "z", Aggregate::Avg, Parallelism::Threads(1))
         .unwrap();
     assert!(metrics.stage(Stage::Aggregate).calls.get() > agg_calls);
 

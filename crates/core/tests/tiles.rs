@@ -314,7 +314,7 @@ fn governed_tiled_query_charges_tile_bytes_to_the_budget() {
             Some(&window),
             &[],
             RefineStrategy::default(),
-            Parallelism::Serial,
+            Parallelism::Threads(1),
             None,
             Some(1024),
         )
@@ -330,7 +330,7 @@ fn governed_tiled_query_charges_tile_bytes_to_the_budget() {
             Some(&window),
             &[],
             RefineStrategy::default(),
-            Parallelism::Serial,
+            Parallelism::Threads(1),
             None,
             Some(1 << 30),
         )

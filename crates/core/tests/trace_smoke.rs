@@ -139,7 +139,7 @@ fn untraced_queries_have_no_trace_id() {
             Some(&diamond(50.0, 50.0, 40.0)),
             &[],
             RefineStrategy::default(),
-            Parallelism::Serial,
+            Parallelism::Threads(1),
         )
         .unwrap();
     assert!(!sel.rows.is_empty());
@@ -155,13 +155,13 @@ fn trace_smoke() {
     pc.set_tracing(true);
     assert!(pc.tracing());
     let traced = pc
-        .select_query_with(Some(&pred), &[], RefineStrategy::default(), Parallelism::Serial)
+        .select_query_with(Some(&pred), &[], RefineStrategy::default(), Parallelism::Threads(1))
         .unwrap();
     let tid = traced.profile.trace_id.expect("traced query has a trace id");
 
     pc.set_tracing(false);
     let untraced = pc
-        .select_query_with(Some(&pred), &[], RefineStrategy::default(), Parallelism::Serial)
+        .select_query_with(Some(&pred), &[], RefineStrategy::default(), Parallelism::Threads(1))
         .unwrap();
     assert_eq!(untraced.rows, traced.rows, "toggle must not change results");
     assert_eq!(untraced.profile.trace_id, None);

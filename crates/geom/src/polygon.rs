@@ -80,7 +80,7 @@ impl Ring {
             let a = &self.vertices[i];
             let b = &self.vertices[j];
             // Boundary check: point on edge [a, b]?
-            if Segment::new(*a, *b).distance_point(p) == 0.0 {
+            if Segment::new(*a, *b).contains_point(p) {
                 return true;
             }
             if (a.y > p.y) != (b.y > p.y) {
@@ -94,11 +94,9 @@ impl Ring {
         inside
     }
 
-    /// Minimum distance from the ring boundary to a point.
-    pub fn boundary_distance(&self, p: &Point) -> f64 {
-        self.edges()
-            .map(|e| e.distance_point(p))
-            .fold(f64::INFINITY, f64::min)
+    /// Whether `p` lies on one of the ring's edges.
+    pub fn on_boundary(&self, p: &Point) -> bool {
+        self.edges().any(|e| e.contains_point(p))
     }
 }
 
@@ -156,7 +154,7 @@ impl Polygon {
         }
         for hole in &self.holes {
             // On the hole boundary still counts as inside the polygon.
-            if hole.contains_point(p) && hole.boundary_distance(p) > 0.0 {
+            if hole.contains_point(p) && !hole.on_boundary(p) {
                 return false;
             }
         }
@@ -219,6 +217,37 @@ mod tests {
             ])
             .unwrap()],
         )
+    }
+
+    /// Regression: the boundary check compared a projected point with the
+    /// query point, and the projection onto an axis-aligned edge can round
+    /// away from a point lying exactly on it, so such points fell outside.
+    #[test]
+    fn points_exactly_on_axis_aligned_edges_are_inside() {
+        let rect = Polygon::from_exterior(vec![
+            Point::new(50.0, 50.0),
+            Point::new(950.0, 50.0),
+            Point::new(950.0, 950.0),
+            Point::new(50.0, 950.0),
+        ])
+        .unwrap();
+        let y = 403.192_332_147_056_45;
+        assert!(rect.contains_point(&Point::new(950.0, y)), "right edge");
+        assert!(rect.contains_point(&Point::new(50.0, y)), "left edge");
+        assert!(rect.contains_point(&Point::new(y, 950.0)), "top edge");
+        // On a hole's edge still counts as inside the polygon.
+        let holed = Polygon::new(
+            rect.exterior().clone(),
+            vec![Ring::new(vec![
+                Point::new(300.0, 300.0),
+                Point::new(700.0, 300.0),
+                Point::new(700.0, 700.0),
+                Point::new(300.0, 700.0),
+            ])
+            .unwrap()],
+        );
+        assert!(holed.contains_point(&Point::new(700.0, 403.192_332_147_056_45)));
+        assert!(!holed.contains_point(&Point::new(500.0, 500.0)));
     }
 
     #[test]

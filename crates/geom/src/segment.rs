@@ -66,6 +66,15 @@ impl Segment {
             || (d4 == 0.0 && self.contains_collinear(&other.b))
     }
 
+    /// Whether the closed segment contains `p`: exactly collinear and
+    /// within the segment's extent, or at computed distance zero. The exact
+    /// test catches points on axis-aligned edges, whose projection onto
+    /// the segment can round away from the point itself.
+    pub fn contains_point(&self, p: &Point) -> bool {
+        (orient(&self.a, &self.b, p) == 0.0 && self.contains_collinear(p))
+            || self.distance_point(p) == 0.0
+    }
+
     /// Euclidean distance from the segment to a point.
     pub fn distance_point(&self, p: &Point) -> f64 {
         let vx = self.b.x - self.a.x;

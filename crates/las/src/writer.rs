@@ -100,6 +100,28 @@ mod tests {
     use super::*;
     use crate::reader::read_las_file;
 
+    /// A scratch directory unique to this process and call, removed on
+    /// drop, so tests running in parallel never share files.
+    struct TestDir(std::path::PathBuf);
+
+    impl TestDir {
+        fn new() -> TestDir {
+            use std::sync::atomic::{AtomicUsize, Ordering};
+            static NEXT: AtomicUsize = AtomicUsize::new(0);
+            let n = NEXT.fetch_add(1, Ordering::Relaxed);
+            let d = std::env::temp_dir()
+                .join(format!("lidardb_writer_test_{}_{n}", std::process::id()));
+            std::fs::create_dir_all(&d).unwrap();
+            TestDir(d)
+        }
+    }
+
+    impl Drop for TestDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
     fn template(c: Compression) -> LasHeader {
         LasHeader::builder()
             .scale(0.01, 0.01, 0.01)
@@ -124,9 +146,8 @@ mod tests {
 
     #[test]
     fn header_gets_bbox_and_count() {
-        let dir = std::env::temp_dir().join("lidardb_writer_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bbox.las");
+        let dir = TestDir::new();
+        let path = dir.0.join("bbox.las");
         let pts = some_points(100);
         let h = write_las_file(&path, template(Compression::None), &pts).unwrap();
         assert_eq!(h.num_points, 100);
@@ -141,10 +162,9 @@ mod tests {
 
     #[test]
     fn streaming_writer_matches_oneshot() {
-        let dir = std::env::temp_dir().join("lidardb_writer_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let a = dir.join("stream.laz");
-        let b = dir.join("oneshot.laz");
+        let dir = TestDir::new();
+        let a = dir.0.join("stream.laz");
+        let b = dir.0.join("oneshot.laz");
         let pts = some_points(500);
         let mut w = LasWriter::create(&a, template(Compression::LazLite));
         for p in &pts[..200] {
@@ -159,9 +179,8 @@ mod tests {
 
     #[test]
     fn empty_file_roundtrips() {
-        let dir = std::env::temp_dir().join("lidardb_writer_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("empty.las");
+        let dir = TestDir::new();
+        let path = dir.0.join("empty.las");
         let h = write_las_file(&path, template(Compression::None), &[]).unwrap();
         assert_eq!(h.num_points, 0);
         let (_, pts) = read_las_file(&path).unwrap();

@@ -95,8 +95,8 @@ fn catalog_parallelism_yields_identical_results() {
          ST_DWithin(ST_Point(p.x, p.y), r.geom, 1.5) \
          AND r.class = 'motorway' ORDER BY p.x, p.y LIMIT 40",
     ];
-    let mut serial = setup();
-    serial.set_parallelism(lidardb_core::Parallelism::Serial);
+    let mut one = setup();
+    one.set_parallelism(lidardb_core::Parallelism::Threads(1));
     let mut parallel = setup();
     parallel.set_parallelism(lidardb_core::Parallelism::Threads(2));
     assert!(matches!(
@@ -104,7 +104,7 @@ fn catalog_parallelism_yields_identical_results() {
         lidardb_core::Parallelism::Threads(2)
     ));
     for sql in sqls {
-        let a = query(&serial, sql).unwrap();
+        let a = query(&one, sql).unwrap();
         let b = query(&parallel, sql).unwrap();
         assert_eq!(a.columns, b.columns, "{sql}");
         assert_eq!(a.rows, b.rows, "{sql}");
@@ -472,6 +472,14 @@ fn st_buffer_envelope_numpoints() {
     assert!(rs.rows[0][0].render().contains("POLYGON"));
 }
 
+/// Index of the named column in a result set.
+fn col(rs: &lidardb_sql::ResultSet, name: &str) -> usize {
+    rs.columns
+        .iter()
+        .position(|c| c == name)
+        .unwrap_or_else(|| panic!("no column {name} in {:?}", rs.columns))
+}
+
 /// The process-wide slow-query log is shared state: tests that clear and
 /// inspect it must not interleave.
 static SLOW_LOG_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -513,11 +521,14 @@ fn set_trace_session_records_spans_and_shows_slow_queries() {
     let rs = query(&c, "SHOW SLOW QUERIES").unwrap();
     assert_eq!(
         rs.columns,
-        vec!["trace_id", "seconds", "result_rows", "cancelled", "spans", "tree"]
+        vec!["trace_id", "seconds", "queue_wait", "result_rows", "cancelled", "spans", "tree"]
     );
     assert!(!rs.rows.is_empty());
-    assert_eq!(rs.rows[0][3], SqlValue::Int(0), "not cancelled");
-    assert!(rs.rows[0][5].render().contains("query"), "span tree rendered");
+    assert_eq!(rs.rows[0][col(&rs, "cancelled")], SqlValue::Int(0), "not cancelled");
+    assert!(
+        rs.rows[0][col(&rs, "tree")].render().contains("query"),
+        "span tree rendered"
+    );
 
     // OFF stops new queries from being traced.
     query(&c, "SET TRACE = OFF").unwrap();
@@ -606,19 +617,20 @@ fn cancelled_queries_render_in_show_slow_queries() {
     let err = query(&c, "SELECT COUNT(*) FROM points WHERE x >= 0").unwrap_err();
     assert!(err.to_string().contains("cancelled"), "{err}");
     let rs = query(&c, "SHOW SLOW QUERIES").unwrap();
+    let (cancelled, tree) = (col(&rs, "cancelled"), col(&rs, "tree"));
     let cancelled_rows: Vec<_> = rs
         .rows
         .iter()
-        .filter(|r| r[3] == SqlValue::Int(1))
+        .filter(|r| r[cancelled] == SqlValue::Int(1))
         .collect();
     assert!(
         !cancelled_rows.is_empty(),
         "cancelled query appears in SHOW SLOW QUERIES: {rs:?}"
     );
     assert!(
-        cancelled_rows[0][5].render().contains("[cancelled]"),
+        cancelled_rows[0][tree].render().contains("[cancelled]"),
         "tree renders the cancelled marker: {}",
-        cancelled_rows[0][5].render()
+        cancelled_rows[0][tree].render()
     );
     query(&c, "SET MEM_BUDGET = 0").unwrap();
     query(&c, "SET TRACE = OFF").unwrap();

@@ -14,12 +14,11 @@ use crate::types::{Native, Value};
 
 /// Process-wide scan-kernel counters, pulled into `core::metrics` snapshots.
 ///
-/// The kernels themselves stay free of atomics: the serial filter path issues
-/// one `range_scan_ranges` call *per candidate run* (hundreds of thousands per
+/// The kernels themselves stay free of atomics: the filter step issues one
+/// `range_scan_ranges` call *per candidate run* (hundreds of thousands per
 /// 12M-point bbox query), and even a relaxed `fetch_add` per call measured
 /// ~10% overhead on that loop. The engine therefore accumulates calls/rows in
-/// locals and flushes one [`note_scans`] batch per query stage (serial path)
-/// or per morsel (parallel path).
+/// locals and flushes one [`note_scans`] batch per morsel.
 static SCAN_CALLS: AtomicU64 = AtomicU64::new(0);
 static ROWS_EXAMINED: AtomicU64 = AtomicU64::new(0);
 
@@ -422,18 +421,6 @@ impl AggState {
     }
 }
 
-/// Aggregate the selected rows of a typed slice into an [`AggState`].
-///
-/// This is the typed-slice kernel behind `PointCloud::aggregate`: one tight
-/// pass, no per-row boxing. Rows must be in bounds (the caller validates).
-pub fn aggregate_rows<T: Native>(data: &[T], rows: &[usize]) -> AggState {
-    let mut st = AggState::default();
-    for &r in rows {
-        st.push(data[r].to_f64());
-    }
-    st
-}
-
 /// Count (without materialising) the rows in `ranges` satisfying the range
 /// predicate — the kernel behind `SELECT COUNT(*)` with pushed-down filters.
 pub fn count_range_ranges<T: Native>(data: &[T], ranges: &[(usize, usize)], lo: T, hi: T) -> usize {
@@ -695,6 +682,15 @@ mod tests {
         let mut sel = vec![0, 1, 2];
         refine_cmp_f64(&data, &mut sel, CmpOp::Le, f64::INFINITY);
         assert_eq!(sel, vec![0, 2]);
+    }
+
+    /// One compensated pass over the selected rows.
+    fn aggregate_rows(data: &[f64], rows: &[usize]) -> AggState {
+        let mut st = AggState::default();
+        for &r in rows {
+            st.push(data[r]);
+        }
+        st
     }
 
     /// Regression (compensated summation): a naive `f64` accumulator loses

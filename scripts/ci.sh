@@ -10,7 +10,10 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> serial/parallel differential suite (default, 2 and 8 workers; incl. Cancel/Stall faults)"
+echo "==> cargo test -q --workspace -- --test-threads=1"
+cargo test -q --workspace -- --test-threads=1
+
+echo "==> worker-count differential suite vs brute-force oracle (default, 2 and 8 workers; incl. Cancel/Stall faults)"
 cargo test -q -p lidardb-core --test differential -- --test-threads=1
 LIDARDB_WORKERS=2 cargo test -q -p lidardb-core --test differential -- --test-threads=1
 LIDARDB_WORKERS=8 cargo test -q -p lidardb-core --test differential -- --test-threads=1
@@ -38,7 +41,7 @@ cargo test -q -p lidardb-las absurd_point_count_rejected_without_overflow
 cargo test -q -p lidardb-core forged_manifest_row_count_rejected_without_overflow
 cargo test -q -p lidardb-core to_table_renders_every_explain_field
 cargo test -q -p lidardb-sql explain_analyze
-cargo test -q -p lidardb-core --test differential differential_span_trees_serial_vs_parallel
+cargo test -q -p lidardb-core --test differential differential_span_trees_agree_across_worker_counts
 cargo test -q -p lidardb-sql set_trace_session_records_spans_and_shows_slow_queries
 
 echo "==> governance regression tests (typed cancellation, SQL session knobs)"
@@ -226,7 +229,7 @@ else
     echo "gate correctly rejected the slowed run"
 fi
 
-echo "==> cargo clippy --all-targets -- -D warnings"
-cargo clippy --all-targets -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> ci OK"

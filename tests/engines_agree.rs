@@ -4,8 +4,29 @@
 //! same queries — the precondition for every performance comparison in
 //! EXPERIMENTS.md to be meaningful.
 
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use lidardb::prelude::*;
 use lidardb::write_scene_tiles;
+
+/// A scratch directory unique to this process and call, removed on drop,
+/// so tests running in parallel never share (or delete) each other's files.
+struct TestDir(PathBuf);
+
+impl TestDir {
+    fn new(name: &str) -> TestDir {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        TestDir(std::env::temp_dir().join(format!("lidardb_{name}_{}_{n}", std::process::id())))
+    }
+}
+
+impl Drop for TestDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
 
 /// Canonical multiset key for a result point (quantised to laz-lite's cm
 /// precision so float paths compare equal).
@@ -19,6 +40,7 @@ struct Setup {
     filestore_indexed: FileStore,
     blockstore: BlockStore,
     env: Envelope,
+    _dirs: [TestDir; 2],
 }
 
 fn setup() -> Setup {
@@ -27,21 +49,17 @@ fn setup() -> Setup {
         origin: (50_000.0, 60_000.0),
         extent_m: 500.0,
     });
-    let dir_a = std::env::temp_dir().join("lidardb_agree_plain");
-    let dir_b = std::env::temp_dir().join("lidardb_agree_indexed");
-    for d in [&dir_a, &dir_b] {
-        let _ = std::fs::remove_dir_all(d);
-    }
-    let paths = write_scene_tiles(&scene, &dir_a, 3, 0.6, Compression::None).unwrap();
-    write_scene_tiles(&scene, &dir_b, 3, 0.6, Compression::LazLite).unwrap();
+    let (dir_a, dir_b) = (TestDir::new("agree_plain"), TestDir::new("agree_indexed"));
+    let paths = write_scene_tiles(&scene, &dir_a.0, 3, 0.6, Compression::None).unwrap();
+    write_scene_tiles(&scene, &dir_b.0, 3, 0.6, Compression::LazLite).unwrap();
 
     let mut pc = PointCloud::new();
     Loader::new(LoadMethod::Binary)
         .load_files(&mut pc, &paths)
         .unwrap();
 
-    let filestore_plain = FileStore::open(&dir_a).unwrap();
-    let mut filestore_indexed = FileStore::open(&dir_b).unwrap();
+    let filestore_plain = FileStore::open(&dir_a.0).unwrap();
+    let mut filestore_indexed = FileStore::open(&dir_b.0).unwrap();
     filestore_indexed.sort_files(Curve::Hilbert).unwrap();
     filestore_indexed.build_indexes().unwrap();
 
@@ -57,6 +75,7 @@ fn setup() -> Setup {
         filestore_indexed,
         blockstore,
         env: *scene.envelope(),
+        _dirs: [dir_a, dir_b],
     }
 }
 
