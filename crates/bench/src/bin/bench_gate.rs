@@ -2,86 +2,40 @@
 //!
 //! ```text
 //! bench_gate --base BENCH_query.json --fresh out/BENCH_query.json
-//! bench_gate --base BENCH_query.json --scale 2.0 --out slowed.json
+//! bench_gate --base BENCH_query.json --scale 2.0 --out degraded.json
 //! ```
 //!
-//! Compare mode exits 0 when every stage's p50 is within the threshold,
-//! 1 on any regression, 2 on usage or parse errors — so CI can
-//! distinguish "code got slower" from "gate is broken". `--scale` writes
-//! a synthetically slowed copy of the baseline (the negative test feeds
-//! it back through compare and asserts the gate trips).
+//! Compare mode exits 0 when every cell holds its bound, 1 on any
+//! regression, and 2 when the gate cannot judge (usage or parse errors, a
+//! cross-host pair, a fresh cell restating its bound), so CI can tell
+//! "code got slower" from "gate is broken". `--scale` writes a copy of
+//! the baseline degraded by the factor (the negative CI check feeds it
+//! back through compare and expects the gate to trip).
 
-use lidardb_bench::gate::{
-    compare, compare_chaos, compare_ingest, compare_obs, compare_server, extract_chaos_doc,
-    extract_ingest_runs, extract_obs_doc, extract_runs, extract_server_doc, render_chaos_doc,
-    render_ingest_runs, render_obs_doc, render_runs, render_server_doc, scale_chaos,
-    scale_ingest, scale_obs, scale_server, scale_times, Json, REGRESSION_THRESHOLD,
-};
+use lidardb_bench::gate::{compare, degrade, Doc};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: bench_gate [--kind query|ingest|tiles|server|obs|chaos] --base <baseline.json> \
-         --fresh <fresh.json> [--threshold <frac>]\n       bench_gate \
-         [--kind query|ingest|tiles|server|obs|chaos] --base <baseline.json> \
-         --scale <factor> --out <path>"
+        "usage: bench_gate --base <baseline.json> --fresh <fresh.json>\n       \
+         bench_gate --base <baseline.json> --scale <factor> --out <path>"
     );
     std::process::exit(2);
 }
 
-fn load_doc(path: &str) -> Json {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("bench_gate: cannot read {path}: {e}");
-        std::process::exit(2);
-    });
-    Json::parse(&text).unwrap_or_else(|e| {
-        eprintln!("bench_gate: {path} is not valid JSON: {e}");
-        std::process::exit(2);
-    })
+fn fail(msg: String) -> ! {
+    eprintln!("bench_gate: {msg}");
+    std::process::exit(2);
 }
 
-fn load_runs(path: &str) -> Vec<lidardb_bench::gate::BenchRun> {
-    extract_runs(&load_doc(path)).unwrap_or_else(|e| {
-        eprintln!("bench_gate: {path}: {e}");
-        std::process::exit(2);
-    })
-}
-
-fn load_ingest_runs(path: &str) -> Vec<lidardb_bench::gate::IngestRun> {
-    extract_ingest_runs(&load_doc(path)).unwrap_or_else(|e| {
-        eprintln!("bench_gate: {path}: {e}");
-        std::process::exit(2);
-    })
-}
-
-fn load_server_doc(path: &str) -> lidardb_bench::gate::ServerDoc {
-    extract_server_doc(&load_doc(path)).unwrap_or_else(|e| {
-        eprintln!("bench_gate: {path}: {e}");
-        std::process::exit(2);
-    })
-}
-
-fn load_obs_doc(path: &str) -> lidardb_bench::gate::ObsDoc {
-    extract_obs_doc(&load_doc(path)).unwrap_or_else(|e| {
-        eprintln!("bench_gate: {path}: {e}");
-        std::process::exit(2);
-    })
-}
-
-fn load_chaos_doc(path: &str) -> lidardb_bench::gate::ChaosDoc {
-    extract_chaos_doc(&load_doc(path)).unwrap_or_else(|e| {
-        eprintln!("bench_gate: {path}: {e}");
-        std::process::exit(2);
-    })
+fn load(path: &str) -> Doc {
+    let text =
+        std::fs::read_to_string(path).unwrap_or_else(|e| fail(format!("cannot read {path}: {e}")));
+    Doc::parse(&text).unwrap_or_else(|e| fail(format!("{path}: {e}")))
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut base = None;
-    let mut fresh = None;
-    let mut out = None;
-    let mut scale = None;
-    let mut threshold = REGRESSION_THRESHOLD;
-    let mut kind = "query".to_string();
+    let (mut base, mut fresh, mut out, mut scale) = (None, None, None, None);
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let mut val = || it.next().cloned().unwrap_or_else(|| usage());
@@ -89,87 +43,46 @@ fn main() {
             "--base" => base = Some(val()),
             "--fresh" => fresh = Some(val()),
             "--out" => out = Some(val()),
-            "--scale" => scale = val().parse::<f64>().ok(),
-            "--threshold" => threshold = val().parse::<f64>().unwrap_or_else(|_| usage()),
-            "--kind" => kind = val(),
+            "--scale" => {
+                let f = val()
+                    .parse::<f64>()
+                    .ok()
+                    .filter(|f| f.is_finite() && *f > 0.0);
+                scale = Some(f.unwrap_or_else(|| usage()));
+            }
             _ => usage(),
         }
     }
-    // `tiles` documents (BENCH_tiles.json, experiment E13) share the E9
-    // queries/runs shape, so the query extractor and comparator gate them.
-    if !["query", "ingest", "tiles", "server", "obs", "chaos"].contains(&kind.as_str()) {
-        usage();
-    }
     let Some(base) = base else { usage() };
-
-    if let Some(factor) = scale {
-        // Synthetic-slowdown mode for the negative CI test.
-        let Some(out) = out else { usage() };
-        let rendered = if kind == "ingest" {
-            render_ingest_runs(&scale_ingest(&load_ingest_runs(&base), factor))
-        } else if kind == "server" {
-            render_server_doc(&scale_server(&load_server_doc(&base), factor))
-        } else if kind == "obs" {
-            render_obs_doc(&scale_obs(&load_obs_doc(&base), factor))
-        } else if kind == "chaos" {
-            render_chaos_doc(&scale_chaos(&load_chaos_doc(&base), factor))
-        } else {
-            render_runs(&scale_times(&load_runs(&base), factor))
-        };
-        if let Err(e) = std::fs::write(&out, rendered) {
-            eprintln!("bench_gate: cannot write {out}: {e}");
-            std::process::exit(2);
+    match (fresh, scale, out) {
+        (None, Some(factor), Some(out)) => {
+            if let Err(e) = std::fs::write(&out, degrade(&load(&base), factor).render()) {
+                fail(format!("cannot write {out}: {e}"));
+            }
+            println!("bench_gate: wrote {out} ({factor}x degraded copy of {base})");
         }
-        println!("bench_gate: wrote {out} ({factor}x degraded copy of {base})");
-        return;
-    }
-
-    let Some(fresh) = fresh else { usage() };
-    let (cells, regressions) = if kind == "ingest" {
-        let base_runs = load_ingest_runs(&base);
-        let fresh_runs = load_ingest_runs(&fresh);
-        (
-            base_runs.len(),
-            compare_ingest(&base_runs, &fresh_runs, threshold),
-        )
-    } else if kind == "server" {
-        let base_doc = load_server_doc(&base);
-        let fresh_doc = load_server_doc(&fresh);
-        (
-            base_doc.configs.len() + 1, // + the stream cell
-            compare_server(&base_doc, &fresh_doc, threshold),
-        )
-    } else if kind == "obs" {
-        let base_doc = load_obs_doc(&base);
-        let fresh_doc = load_obs_doc(&fresh);
-        (
-            base_doc.configs.len() + 1, // + the overhead cell
-            compare_obs(&base_doc, &fresh_doc, threshold),
-        )
-    } else if kind == "chaos" {
-        let base_doc = load_chaos_doc(&base);
-        let fresh_doc = load_chaos_doc(&fresh);
-        // integrity + coverage + the latency cell
-        (3, compare_chaos(&base_doc, &fresh_doc, threshold))
-    } else {
-        let base_runs = load_runs(&base);
-        let fresh_runs = load_runs(&fresh);
-        (base_runs.len(), compare(&base_runs, &fresh_runs, threshold))
-    };
-    if regressions.is_empty() {
-        println!(
-            "bench_gate: PASS — {cells} {kind} cells within {:.0}% of {base}",
-            threshold * 100.0
-        );
-    } else {
-        eprintln!(
-            "bench_gate: FAIL — {} {kind} regression(s) beyond {:.0}% vs {base}:",
-            regressions.len(),
-            threshold * 100.0
-        );
-        for r in &regressions {
-            eprintln!("  {}", r.describe());
+        (Some(fresh), None, None) => {
+            let base_doc = load(&base);
+            let regressions = compare(&base_doc, &load(&fresh))
+                .unwrap_or_else(|e| fail(format!("{fresh} vs {base}: {e}")));
+            if regressions.is_empty() {
+                println!(
+                    "bench_gate: PASS — {} {} cells within their bounds of {base}",
+                    base_doc.cells.len(),
+                    base_doc.experiment
+                );
+            } else {
+                eprintln!(
+                    "bench_gate: FAIL — {} {} regression(s) vs {base}:",
+                    regressions.len(),
+                    base_doc.experiment
+                );
+                for r in &regressions {
+                    eprintln!("  {r}");
+                }
+                std::process::exit(1);
+            }
         }
-        std::process::exit(1);
+        _ => usage(),
     }
 }

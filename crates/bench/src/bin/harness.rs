@@ -8,6 +8,7 @@
 use std::sync::Arc;
 
 use lidardb_baselines::{BlockStore, FileStore};
+use lidardb_bench::gate::{Better, Bound, Doc, REGRESSION_THRESHOLD};
 use lidardb_bench::{median_seconds, timed, Fixture};
 use lidardb_core::{
     Aggregate, LoadMethod, LoadPolicy, Loader, Parallelism, PointCloud, RefineStrategy,
@@ -76,6 +77,31 @@ fn header(id: &str, claim: &str) {
     println!("==============================================================");
     println!("{id}: {claim}");
     println!("==============================================================");
+}
+
+/// The relative bound of every gated timing and throughput cell.
+const REL: Bound = Bound::Rel(REGRESSION_THRESHOLD);
+
+/// An empty bench document for `experiment`, stamped with this host's
+/// CPU count (the gate refuses to compare across hosts).
+fn bench_doc(experiment: &str) -> Doc {
+    Doc::new(
+        experiment,
+        std::thread::available_parallelism().map_or(1, |n| n.get()) as u64,
+    )
+}
+
+/// Write a bench document through the gate's serializer.
+fn write_bench(path: &str, doc: &Doc) {
+    std::fs::write(path, doc.render()).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    println!("wrote {path}\n");
+}
+
+/// `x` to `decimals` places: documents record what the tables resolve,
+/// not float noise.
+fn round(x: f64, decimals: i32) -> f64 {
+    let p = 10f64.powi(decimals);
+    (x * p).round() / p
 }
 
 // ---------------------------------------------------------------------------
@@ -687,6 +713,20 @@ struct E9Run {
     t_total: f64,
 }
 
+impl E9Run {
+    /// The run's stage p50s as gated cells under `key`.
+    fn push_cells(&self, doc: &mut Doc, key: &str) {
+        for (metric, secs) in [
+            ("t_imprints", self.t_imprints),
+            ("t_bbox", self.t_bbox),
+            ("t_refine", self.t_refine),
+            ("t_total", self.t_total),
+        ] {
+            doc.cell(key, metric, round(secs, 6), "s", Better::Lower, REL);
+        }
+    }
+}
+
 fn e9_parallel() {
     header(
         "E9 (parallel execution)",
@@ -809,44 +849,18 @@ fn e9_parallel() {
         json_queries.push((name.to_string(), one_rows.len(), one_bbox, runs));
     }
 
-    // Hand-rolled JSON (no serde in the tree): one object per (query, mode).
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"e9_parallel_query\",\n");
-    out.push_str(&format!("  \"points\": {},\n", pc.num_points()));
-    out.push_str(&format!(
-        "  \"host_cpus\": {},\n",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    ));
-    out.push_str("  \"queries\": [\n");
-    for (qi, (name, rows, one_bbox, runs)) in json_queries.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"name\": \"{name}\",\n"));
-        out.push_str(&format!("      \"rows\": {rows},\n"));
-        out.push_str("      \"runs\": [\n");
-        for (ri, r) in runs.iter().enumerate() {
-            out.push_str(&format!(
-                "        {{\"mode\": \"{}\", \"workers\": {}, \"t_imprints\": {:.6}, \
-                 \"t_bbox\": {:.6}, \"t_refine\": {:.6}, \"t_total\": {:.6}, \
-                 \"bbox_speedup_vs_1_worker\": {:.3}}}{}\n",
-                r.mode,
-                r.workers,
-                r.t_imprints,
-                r.t_bbox,
-                r.t_refine,
-                r.t_total,
-                one_bbox / r.t_bbox.max(1e-12),
-                if ri + 1 < runs.len() { "," } else { "" }
-            ));
+    let mut doc = bench_doc("e9_parallel_query");
+    doc.param("points", pc.num_points() as f64);
+    for (name, rows, one_bbox, runs) in &json_queries {
+        doc.param(format!("{name}.rows"), *rows as f64);
+        for r in runs {
+            let key = format!("{name}/{}/{}", r.mode, r.workers);
+            let speedup = round(one_bbox / r.t_bbox.max(1e-12), 3);
+            doc.param(format!("{key}.bbox_speedup_vs_1_worker"), speedup);
+            r.push_cells(&mut doc, &key);
         }
-        out.push_str("      ]\n");
-        out.push_str(&format!(
-            "    }}{}\n",
-            if qi + 1 < json_queries.len() { "," } else { "" }
-        ));
     }
-    out.push_str("  ]\n}\n");
-    std::fs::write("BENCH_query.json", &out).expect("write BENCH_query.json");
-    println!("\nwrote BENCH_query.json");
+    write_bench("BENCH_query.json", &doc);
 
     // The accumulated engine metrics for the whole experiment — every
     // probe/scan/refine/morsel above is in here (the registry was reset at
@@ -1037,66 +1051,128 @@ fn e8_sfc() {
 // E10 — overload governance
 // ---------------------------------------------------------------------------
 
-/// One resolved query under open-loop load.
-struct E10Sample {
+/// One timed statement of a burst.
+struct Sample {
     outcome: &'static str, // "ok" | "cancelled" | "overloaded"
     secs: f64,
 }
 
-/// Open-loop burst: `threads` clients each firing `per_thread` queries
-/// back-to-back. Every query must resolve to Ok / Cancelled / Overloaded —
-/// anything else aborts the experiment.
-fn e10_burst(
-    pc: &Arc<PointCloud>,
-    preds: &[SpatialPredicate],
-    threads: usize,
-    per_thread: usize,
-    deadline: Option<std::time::Duration>,
-) -> Vec<E10Sample> {
-    let samples: Vec<E10Sample> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
+/// Closed-loop burst: `clients` threads each issue `per_client`
+/// statements back to back. `issue(client)` runs on the client's own
+/// thread and returns that client's issuer, which runs statement `q` and
+/// resolves it to "ok" / "cancelled" / "overloaded" (anything else must
+/// abort the experiment); the burst times every statement.
+fn burst<F: FnMut(usize) -> &'static str>(
+    clients: usize,
+    per_client: usize,
+    issue: impl Fn(usize) -> F + Sync,
+) -> Vec<Sample> {
+    std::thread::scope(|s| {
+        let issue = &issue;
+        let handles: Vec<_> = (0..clients)
             .map(|t| {
-                let pc = Arc::clone(pc);
                 s.spawn(move || {
-                    let mut out = Vec::with_capacity(per_thread);
-                    for q in 0..per_thread {
-                        let pred = &preds[(t + q) % preds.len()];
-                        let start = std::time::Instant::now();
-                        let res = pc.select_query_governed(
-                            Some(pred),
-                            &[],
-                            RefineStrategy::default(),
-                            Parallelism::Threads(1),
-                            deadline,
-                            None,
-                        );
-                        let secs = start.elapsed().as_secs_f64();
-                        let outcome = match &res {
-                            Ok(_) => "ok",
-                            Err(lidardb_core::CoreError::Cancelled { .. }) => "cancelled",
-                            Err(lidardb_core::CoreError::Overloaded) => "overloaded",
-                            Err(e) => panic!("E10: untyped failure under load: {e}"),
-                        };
-                        out.push(E10Sample { outcome, secs });
-                    }
-                    out
+                    let mut next = issue(t);
+                    (0..per_client)
+                        .map(|q| {
+                            let start = std::time::Instant::now();
+                            let outcome = next(q);
+                            Sample {
+                                outcome,
+                                secs: start.elapsed().as_secs_f64(),
+                            }
+                        })
+                        .collect::<Vec<_>>()
                 })
             })
             .collect();
         handles
             .into_iter()
-            .flat_map(|h| h.join().expect("E10 client thread must not panic"))
+            .flat_map(|h| h.join().expect("burst client thread must not panic"))
             .collect()
-    });
-    samples
+    })
 }
 
-fn e10_percentile(sorted_ms: &[f64], p: f64) -> f64 {
-    if sorted_ms.is_empty() {
+/// The nearest-rank `p` percentile of ascending `sorted` (0 when empty).
+fn percentile(sorted: &[f64], p: f64) -> f64 {
+    if sorted.is_empty() {
         return 0.0;
     }
-    let idx = ((sorted_ms.len() as f64 * p).ceil() as usize).min(sorted_ms.len()) - 1;
-    sorted_ms[idx]
+    let idx = ((sorted.len() as f64 * p).ceil() as usize).min(sorted.len()) - 1;
+    sorted[idx]
+}
+
+/// Outcome counts and latency percentiles (ms) of one burst.
+struct BurstStats {
+    ok: usize,
+    cancelled: usize,
+    overloaded: usize,
+    p50: f64,
+    p99: f64,
+    max: f64,
+}
+
+impl BurstStats {
+    fn of(samples: &[Sample]) -> BurstStats {
+        let count = |outcome| samples.iter().filter(|s| s.outcome == outcome).count();
+        let mut ms: Vec<f64> = samples.iter().map(|s| s.secs * 1e3).collect();
+        ms.sort_by(f64::total_cmp);
+        BurstStats {
+            ok: count("ok"),
+            cancelled: count("cancelled"),
+            overloaded: count("overloaded"),
+            p50: percentile(&ms, 0.50),
+            p99: percentile(&ms, 0.99),
+            max: ms.last().copied().unwrap_or(0.0),
+        }
+    }
+
+    /// The burst table's header, config column `width` wide.
+    fn print_header(width: usize) {
+        println!(
+            "{:<width$} {:>5} {:>10} {:>11} {:>9} {:>9} {:>9}",
+            "config", "ok", "cancelled", "overloaded", "p50 ms", "p99 ms", "max ms"
+        );
+    }
+
+    /// Print this burst's table row and record it in `doc` under `name`:
+    /// outcome counts as params, the p50/p99 as gated cells when `gated`
+    /// (as params otherwise).
+    fn report(&self, doc: &mut Doc, name: &str, width: usize, gated: bool) {
+        println!(
+            "{name:<width$} {:>5} {:>10} {:>11} {:>9.1} {:>9.1} {:>9.1}",
+            self.ok, self.cancelled, self.overloaded, self.p50, self.p99, self.max
+        );
+        doc.param(format!("{name}.ok"), self.ok as f64);
+        doc.param(format!("{name}.cancelled"), self.cancelled as f64);
+        doc.param(format!("{name}.overloaded"), self.overloaded as f64);
+        for (metric, ms) in [("p50_ms", self.p50), ("p99_ms", self.p99)] {
+            if gated {
+                doc.cell(name, metric, round(ms, 2), "ms", Better::Lower, REL);
+            } else {
+                doc.param(format!("{name}.{metric}"), round(ms, 2));
+            }
+        }
+        doc.param(format!("{name}.max_ms"), round(self.max, 2));
+    }
+}
+
+/// Report one E10/E11 burst config run under admission `(max_in_flight,
+/// max_queue, deadline_ms)` (0 = unlimited / none), which lands in `doc`'s
+/// params ahead of the burst's own figures.
+fn report_config(
+    doc: &mut Doc,
+    name: &str,
+    (max_in_flight, max_queue, deadline_ms): (usize, usize, u64),
+    samples: &[Sample],
+    gated: bool,
+) -> BurstStats {
+    doc.param(format!("{name}.max_in_flight"), max_in_flight as f64);
+    doc.param(format!("{name}.max_queue"), max_queue as f64);
+    doc.param(format!("{name}.deadline_ms"), deadline_ms as f64);
+    let stats = BurstStats::of(samples);
+    stats.report(doc, name, 12, gated);
+    stats
 }
 
 fn e10_overload() {
@@ -1165,67 +1241,49 @@ fn e10_overload() {
         pc.select_with(p, RefineStrategy::default()).expect("warmup");
     }
 
-    // Config A: ungoverned — unlimited admission, no deadline.
-    let pc_open = Arc::new(pc);
     println!(
         "\nburst: {THREADS} clients x {PER_THREAD} queries, one worker per query\n"
     );
-    println!(
-        "{:<12} {:>5} {:>10} {:>11} {:>9} {:>9} {:>9}",
-        "config", "ok", "cancelled", "overloaded", "p50 ms", "p99 ms", "max ms"
-    );
-
-    let mut json_configs = Vec::new();
-    let mut report = |name: &'static str,
-                      max_in_flight: usize,
-                      queue: usize,
-                      deadline_ms: u64,
-                      samples: &[E10Sample]|
-     -> (usize, usize, usize) {
-        let ok = samples.iter().filter(|s| s.outcome == "ok").count();
-        let cancelled = samples.iter().filter(|s| s.outcome == "cancelled").count();
-        let overloaded = samples.iter().filter(|s| s.outcome == "overloaded").count();
-        let mut ms: Vec<f64> = samples.iter().map(|s| s.secs * 1e3).collect();
-        ms.sort_by(|a, b| a.total_cmp(b));
-        let (p50, p99, max) = (
-            e10_percentile(&ms, 0.50),
-            e10_percentile(&ms, 0.99),
-            ms.last().copied().unwrap_or(0.0),
-        );
-        println!(
-            "{name:<12} {ok:>5} {cancelled:>10} {overloaded:>11} {p50:>9.1} {p99:>9.1} {max:>9.1}"
-        );
-        json_configs.push(format!(
-            "    {{\"name\": \"{name}\", \"max_in_flight\": {max_in_flight}, \
-             \"max_queue\": {queue}, \"deadline_ms\": {deadline_ms}, \
-             \"ok\": {ok}, \"cancelled\": {cancelled}, \"overloaded\": {overloaded}, \
-             \"p50_ms\": {p50:.2}, \"p99_ms\": {p99:.2}, \"max_ms\": {max:.2}}}"
-        ));
-        (ok, cancelled, overloaded)
+    BurstStats::print_header(12);
+    // Every statement is one governed one-worker selection, rotating
+    // through the predicates.
+    let preds = &preds;
+    let embedded = |pc: &PointCloud, deadline| {
+        burst(THREADS, PER_THREAD, |t| {
+            move |q| match pc.select_query_governed(
+                Some(&preds[(t + q) % preds.len()]),
+                &[],
+                RefineStrategy::default(),
+                Parallelism::Threads(1),
+                deadline,
+                None,
+            ) {
+                Ok(_) => "ok",
+                Err(lidardb_core::CoreError::Cancelled { .. }) => "cancelled",
+                Err(lidardb_core::CoreError::Overloaded) => "overloaded",
+                Err(e) => panic!("E10: untyped failure under load: {e}"),
+            }
+        })
     };
-
-    let open = e10_burst(&pc_open, &preds, THREADS, PER_THREAD, None);
-    let (open_ok, _, _) = report("ungoverned", 0, 0, 0, &open);
-    assert_eq!(open_ok, THREADS * PER_THREAD, "ungoverned queries all succeed");
+    let mut doc = bench_doc("e10_overload");
+    doc.param("points", pc.num_points() as f64);
+    doc.param("clients", THREADS as f64);
+    doc.param("queries_per_client", PER_THREAD as f64);
+    // Config A: ungoverned — unlimited admission, no deadline. E10's
+    // percentiles stay ungated params: the governed p50 is a random shed
+    // mix.
+    let open = report_config(&mut doc, "ungoverned", (0, 0, 0), &embedded(&pc, None), false);
+    assert_eq!(open.ok, THREADS * PER_THREAD, "ungoverned queries all succeed");
 
     // Config B: governed — 4 in flight, queue of 8, 50 ms deadline that
     // also bounds queue wait. The queue WILL fill at 64 clients: excess
     // is shed as Overloaded, queued-but-stale work dies as Cancelled.
-    let mut pc_gov =
-        Arc::try_unwrap(pc_open).unwrap_or_else(|_| panic!("sole owner between bursts"));
-    pc_gov.set_admission(Arc::new(lidardb_core::AdmissionController::new(4, 8)));
-    let pc_gov = Arc::new(pc_gov);
-    let governed = e10_burst(
-        &pc_gov,
-        &preds,
-        THREADS,
-        PER_THREAD,
-        Some(std::time::Duration::from_millis(DEADLINE_MS)),
-    );
-    let (gov_ok, gov_cancelled, gov_overloaded) =
-        report("governed", 4, 8, DEADLINE_MS, &governed);
+    pc.set_admission(Arc::new(lidardb_core::AdmissionController::new(4, 8)));
+    let deadline = Some(std::time::Duration::from_millis(DEADLINE_MS));
+    let governed = embedded(&pc, deadline);
+    let gov = report_config(&mut doc, "governed", (4, 8, DEADLINE_MS), &governed, false);
     assert_eq!(
-        gov_ok + gov_cancelled + gov_overloaded,
+        gov.ok + gov.cancelled + gov.overloaded,
         THREADS * PER_THREAD,
         "every governed query resolves"
     );
@@ -1238,30 +1296,15 @@ fn e10_overload() {
         m.queries_killed.get(),
         m.budget_trips.get()
     );
-
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"e10_overload\",\n");
-    out.push_str(&format!("  \"points\": {},\n", pc_gov.num_points()));
-    out.push_str(&format!("  \"clients\": {THREADS},\n"));
-    out.push_str(&format!("  \"queries_per_client\": {PER_THREAD},\n"));
-    out.push_str(&format!(
-        "  \"host_cpus\": {},\n",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    ));
-    out.push_str("  \"configs\": [\n");
-    out.push_str(&json_configs.join(",\n"));
-    out.push_str("\n  ],\n");
-    out.push_str(&format!(
-        "  \"governor_counters\": {{\"queries_shed\": {}, \"queries_timed_out\": {}, \
-         \"queries_killed\": {}, \"budget_trips\": {}}}\n",
-        m.queries_shed.get(),
-        m.queries_timed_out.get(),
-        m.queries_killed.get(),
-        m.budget_trips.get()
-    ));
-    out.push_str("}\n");
-    std::fs::write("BENCH_overload.json", &out).expect("write BENCH_overload.json");
-    println!("wrote BENCH_overload.json\n");
+    for (name, counter) in [
+        ("queries_shed", &m.queries_shed),
+        ("queries_timed_out", &m.queries_timed_out),
+        ("queries_killed", &m.queries_killed),
+        ("budget_trips", &m.budget_trips),
+    ] {
+        doc.param(format!("governor_counters.{name}"), counter.get() as f64);
+    }
+    write_bench("BENCH_overload.json", &doc);
 }
 
 // ---------------------------------------------------------------------------
@@ -1299,43 +1342,21 @@ fn e11_reclaim(mut arc: Arc<PointCloud>) -> PointCloud {
 /// A real TCP burst against `lidardb-server`: `clients` concurrent
 /// loopback connections, `per_client` governed statements each, outcomes
 /// classified from the typed error frames.
-fn e11_burst(
+fn wire_burst(
     addr: std::net::SocketAddr,
     sqls: &[String],
     clients: usize,
     per_client: usize,
-) -> Vec<E10Sample> {
+) -> Vec<Sample> {
     use lidardb_server::{Client, ClientError};
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..clients)
-            .map(|t| {
-                s.spawn(move || {
-                    let mut c = Client::connect(addr).expect("E11 client connect");
-                    let mut out = Vec::with_capacity(per_client);
-                    for q in 0..per_client {
-                        let sql = &sqls[(t + q) % sqls.len()];
-                        let start = std::time::Instant::now();
-                        let outcome = match c.query_collect(sql) {
-                            Ok(_) => "ok",
-                            Err(ClientError::Server(m)) if m.contains("cancelled") => "cancelled",
-                            Err(ClientError::Server(m)) if m.contains("overloaded") => {
-                                "overloaded"
-                            }
-                            Err(e) => panic!("E11: untyped failure under load: {e}"),
-                        };
-                        out.push(E10Sample {
-                            outcome,
-                            secs: start.elapsed().as_secs_f64(),
-                        });
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("E11 client thread must not panic"))
-            .collect()
+    burst(clients, per_client, |t| {
+        let mut c = Client::connect(addr).expect("burst client connect");
+        move |q| match c.query_collect(&sqls[(t + q) % sqls.len()]) {
+            Ok(_) => "ok",
+            Err(ClientError::Server(m)) if m.contains("cancelled") => "cancelled",
+            Err(ClientError::Server(m)) if m.contains("overloaded") => "overloaded",
+            Err(e) => panic!("untyped failure under load over the wire: {e}"),
+        }
     })
 }
 
@@ -1428,39 +1449,12 @@ fn e11_server() {
     println!(
         "\nburst: {clients} concurrent connections x {PER_CLIENT} statements\n"
     );
-    println!(
-        "{:<12} {:>5} {:>10} {:>11} {:>9} {:>9} {:>9}",
-        "config", "ok", "cancelled", "overloaded", "p50 ms", "p99 ms", "max ms"
-    );
+    BurstStats::print_header(12);
 
-    let mut json_configs = Vec::new();
-    let mut report = |name: &'static str,
-                      max_in_flight: usize,
-                      queue: usize,
-                      deadline_ms: u64,
-                      samples: &[E10Sample]|
-     -> (usize, usize, usize, f64) {
-        let ok = samples.iter().filter(|s| s.outcome == "ok").count();
-        let cancelled = samples.iter().filter(|s| s.outcome == "cancelled").count();
-        let overloaded = samples.iter().filter(|s| s.outcome == "overloaded").count();
-        let mut ms: Vec<f64> = samples.iter().map(|s| s.secs * 1e3).collect();
-        ms.sort_by(|a, b| a.total_cmp(b));
-        let (p50, p99, max) = (
-            e10_percentile(&ms, 0.50),
-            e10_percentile(&ms, 0.99),
-            ms.last().copied().unwrap_or(0.0),
-        );
-        println!(
-            "{name:<12} {ok:>5} {cancelled:>10} {overloaded:>11} {p50:>9.1} {p99:>9.1} {max:>9.1}"
-        );
-        json_configs.push(format!(
-            "    {{\"name\": \"{name}\", \"max_in_flight\": {max_in_flight}, \
-             \"max_queue\": {queue}, \"deadline_ms\": {deadline_ms}, \
-             \"ok\": {ok}, \"cancelled\": {cancelled}, \"overloaded\": {overloaded}, \
-             \"p50_ms\": {p50:.2}, \"p99_ms\": {p99:.2}, \"max_ms\": {max:.2}}}"
-        ));
-        (ok, cancelled, overloaded, p99)
-    };
+    let mut doc = bench_doc("e11_server");
+    doc.param("points", n as f64);
+    doc.param("clients", clients as f64);
+    doc.param("queries_per_client", PER_CLIENT as f64);
 
     // Config A: ungoverned — unlimited admission, no deadline.
     let pc_open = Arc::new(pc);
@@ -1473,11 +1467,11 @@ fn e11_server() {
             warm.query_collect(sql).expect("warmup query");
         }
     }
-    let open = e11_burst(server.addr(), &sqls, clients, PER_CLIENT);
+    let open = wire_burst(server.addr(), &sqls, clients, PER_CLIENT);
     server.shutdown();
-    let (open_ok, _, _, _) = report("ungoverned", 0, 0, 0, &open);
+    let open = report_config(&mut doc, "ungoverned", (0, 0, 0), &open, true);
     assert_eq!(
-        open_ok,
+        open.ok,
         clients * PER_CLIENT,
         "ungoverned statements all succeed"
     );
@@ -1490,12 +1484,11 @@ fn e11_server() {
     pc_gov.set_default_deadline(Some(Duration::from_millis(DEADLINE_MS)));
     let pc_gov = Arc::new(pc_gov);
     let server = serve(&pc_gov);
-    let governed = e11_burst(server.addr(), &sqls, clients, PER_CLIENT);
+    let governed = wire_burst(server.addr(), &sqls, clients, PER_CLIENT);
     server.shutdown();
-    let (gov_ok, gov_cancelled, gov_overloaded, gov_p99) =
-        report("governed", 4, 16, DEADLINE_MS, &governed);
+    let gov = report_config(&mut doc, "governed", (4, 16, DEADLINE_MS), &governed, true);
     assert_eq!(
-        gov_ok + gov_cancelled + gov_overloaded,
+        gov.ok + gov.cancelled + gov.overloaded,
         clients * PER_CLIENT,
         "every governed statement resolves to a typed outcome"
     );
@@ -1503,8 +1496,9 @@ fn e11_server() {
     // statement can linger much past it: checkpoint granularity plus
     // scheduler noise, not unbounded queueing.
     assert!(
-        gov_p99 <= (DEADLINE_MS * 50) as f64,
-        "governed p99 is bounded by the deadline, got {gov_p99:.1} ms"
+        gov.p99 <= (DEADLINE_MS * 50) as f64,
+        "governed p99 is bounded by the deadline, got {:.1} ms",
+        gov.p99
     );
 
     // Streamed selection: every row of the table over one connection in
@@ -1573,26 +1567,13 @@ fn e11_server() {
         send.seconds()
     );
 
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"e11_server\",\n");
-    out.push_str(&format!("  \"points\": {n},\n"));
-    out.push_str(&format!("  \"clients\": {clients},\n"));
-    out.push_str(&format!("  \"queries_per_client\": {PER_CLIENT},\n"));
-    out.push_str(&format!(
-        "  \"host_cpus\": {},\n",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    ));
-    out.push_str("  \"configs\": [\n");
-    out.push_str(&json_configs.join(",\n"));
-    out.push_str("\n  ],\n");
-    out.push_str(&format!(
-        "  \"stream\": {{\"rows\": {rows}, \"batches\": {batches}, \
-         \"seconds\": {stream_secs:.3}, \"rows_per_sec\": {rows_per_sec:.0}, \
-         \"rss_delta_kb\": {rss_delta}}}\n"
-    ));
-    out.push_str("}\n");
-    std::fs::write("BENCH_server.json", &out).expect("write BENCH_server.json");
-    println!("wrote BENCH_server.json\n");
+    doc.param("stream.rows", rows as f64);
+    doc.param("stream.batches", batches as f64);
+    doc.param("stream.seconds", round(stream_secs, 3));
+    doc.param("stream.rss_delta_kb", rss_delta as f64);
+    let rows_per_sec = round(rows_per_sec, 0);
+    doc.cell("stream", "rows_per_sec", rows_per_sec, "1/s", Better::Higher, REL);
+    write_bench("BENCH_server.json", &doc);
 }
 
 // ---------------------------------------------------------------------------
@@ -1615,8 +1596,8 @@ fn e14_scrape(addr: std::net::SocketAddr) -> Option<String> {
 /// governed burst repeated with the flight recorder sampling and a
 /// Prometheus scraper hammering `/metrics` must land within a few
 /// percent of the same burst with the recorder dark. Emits
-/// `BENCH_obs.json` for the CI obs gate (`bench_gate --kind obs`, 5%
-/// absolute p99-overhead ceiling).
+/// `BENCH_obs.json`, whose overhead cell carries the 5% absolute
+/// p99-overhead ceiling.
 fn e14_obs() {
     use lidardb_server::{Client, Server};
     use lidardb_sql::Catalog;
@@ -1649,6 +1630,10 @@ fn e14_obs() {
     const CHUNK: usize = 500_000;
     const SAMPLE_MS: u64 = 50;
     const SCRAPE_EVERY_MS: u64 = 100;
+    // "Observability is free": the recorder-on p99 must land within this
+    // many percent of recorder-off, checked absolutely, not against a
+    // baseline that might itself have regressed.
+    const MAX_OVERHEAD_PCT: f64 = 5.0;
     let queue_depth = clients * PER_CLIENT;
 
     println!("building {n} synthetic points ...");
@@ -1734,40 +1719,27 @@ fn e14_obs() {
          {MAX_IN_FLIGHT}/{queue_depth} (shed-free); recorder dark vs sampling every \
          {SAMPLE_MS} ms + scrape every {SCRAPE_EVERY_MS} ms\n"
     );
-    println!(
-        "{:<14} {:>5} {:>10} {:>11} {:>9} {:>9} {:>9}",
-        "config", "ok", "cancelled", "overloaded", "p50 ms", "p99 ms", "max ms"
-    );
+    BurstStats::print_header(14);
 
-    let mut json_configs = Vec::new();
-    let mut report = |name: &'static str, samples: &[E10Sample]| -> f64 {
-        let ok = samples.iter().filter(|s| s.outcome == "ok").count();
-        let cancelled = samples.iter().filter(|s| s.outcome == "cancelled").count();
-        let overloaded = samples.iter().filter(|s| s.outcome == "overloaded").count();
+    let mut doc = bench_doc("e14_observability");
+    doc.param("points", n as f64);
+    doc.param("clients", clients as f64);
+    doc.param("queries_per_client", PER_CLIENT as f64);
+    doc.param("sample_ms", SAMPLE_MS as f64);
+    let mut report = |name: &str, samples: &[Sample]| {
+        let stats = BurstStats::of(samples);
+        stats.report(&mut doc, name, 14, true);
         // The queue admits every statement and the deadline never fires,
         // so the burst is all-Ok — the percentiles measure governed
         // drain time, not a random shed mix.
         assert_eq!(
-            ok,
+            stats.ok,
             clients * PER_CLIENT,
-            "E14 burst must be shed-free ({cancelled} cancelled, {overloaded} overloaded)"
+            "E14 burst must be shed-free ({} cancelled, {} overloaded)",
+            stats.cancelled,
+            stats.overloaded
         );
-        let mut ms: Vec<f64> = samples.iter().map(|s| s.secs * 1e3).collect();
-        ms.sort_by(|a, b| a.total_cmp(b));
-        let (p50, p99, max) = (
-            e10_percentile(&ms, 0.50),
-            e10_percentile(&ms, 0.99),
-            ms.last().copied().unwrap_or(0.0),
-        );
-        println!(
-            "{name:<14} {ok:>5} {cancelled:>10} {overloaded:>11} {p50:>9.1} {p99:>9.1} {max:>9.1}"
-        );
-        json_configs.push(format!(
-            "    {{\"name\": \"{name}\", \"ok\": {ok}, \"cancelled\": {cancelled}, \
-             \"overloaded\": {overloaded}, \"p50_ms\": {p50:.2}, \"p99_ms\": {p99:.2}, \
-             \"max_ms\": {max:.2}}}"
-        ));
-        p99
+        stats.p99
     };
 
     // Burst A: recorder dark. Must run first — the sampler is always-on
@@ -1780,8 +1752,8 @@ fn e14_obs() {
     // One unmeasured governed pre-burst: the first burst otherwise pays
     // one-time costs (thread spawns, TCP accept path, allocator growth)
     // that would masquerade as recorder overhead — or its absence.
-    e11_burst(server.addr(), &sqls, clients, PER_CLIENT);
-    let dark = e11_burst(server.addr(), &sqls, clients, PER_CLIENT);
+    wire_burst(server.addr(), &sqls, clients, PER_CLIENT);
+    let dark = wire_burst(server.addr(), &sqls, clients, PER_CLIENT);
     server.shutdown();
     let off_p99 = report("recorder_off", &dark);
 
@@ -1805,7 +1777,7 @@ fn e14_obs() {
             }
         })
     };
-    let lit = e11_burst(server.addr(), &sqls, clients, PER_CLIENT);
+    let lit = wire_burst(server.addr(), &sqls, clients, PER_CLIENT);
     stop.store(true, Ordering::Release);
     scraper.join().expect("scraper thread");
     server.shutdown();
@@ -1821,27 +1793,19 @@ fn e14_obs() {
     let recorded = lidardb_core::Recorder::global().snapshot().len();
     println!(
         "\nrecorder on: {scrapes} scrapes served, {recorded} samples in the ring, \
-         p99 overhead {overhead_pct:+.2}% (ceiling 5%)"
+         p99 overhead {overhead_pct:+.2}% (ceiling {MAX_OVERHEAD_PCT}%)"
     );
 
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"e14_observability\",\n");
-    out.push_str(&format!("  \"points\": {n},\n"));
-    out.push_str(&format!("  \"clients\": {clients},\n"));
-    out.push_str(&format!("  \"queries_per_client\": {PER_CLIENT},\n"));
-    out.push_str(&format!("  \"sample_ms\": {SAMPLE_MS},\n"));
-    out.push_str(&format!(
-        "  \"host_cpus\": {},\n",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    ));
-    out.push_str("  \"configs\": [\n");
-    out.push_str(&json_configs.join(",\n"));
-    out.push_str("\n  ],\n");
-    out.push_str(&format!("  \"scrapes\": {scrapes},\n"));
-    out.push_str(&format!("  \"overhead_p99_pct\": {overhead_pct:.3}\n"));
-    out.push_str("}\n");
-    std::fs::write("BENCH_obs.json", &out).expect("write BENCH_obs.json");
-    println!("wrote BENCH_obs.json\n");
+    doc.param("scrapes", scrapes as f64);
+    doc.cell(
+        "recorder_on",
+        "overhead_p99_pct",
+        round(overhead_pct, 3),
+        "%",
+        Better::Lower,
+        Bound::AbsMax(MAX_OVERHEAD_PCT),
+    );
+    write_bench("BENCH_obs.json", &doc);
 }
 
 // ---------------------------------------------------------------------------
@@ -1855,8 +1819,8 @@ fn e14_obs() {
 /// into the WAL along the way. The invariant under all of it is
 /// exactly-once ingestion: every *acked* batch is present exactly once
 /// in the final table, and no batch — acked or not — appears twice.
-/// Emits `BENCH_chaos.json` for the CI chaos gate (`bench_gate --kind
-/// chaos`, integrity cells gated at absolute zero).
+/// Emits `BENCH_chaos.json`, whose integrity cells are gated at absolute
+/// zero.
 fn e15_chaos() {
     use lidardb_core::{Durability, FaultInjector, FaultKind, FaultStage};
     use lidardb_server::{ChaosProxy, Client, RetryPolicy, RetryingClient, Server};
@@ -2018,7 +1982,7 @@ fn e15_chaos() {
     let retries: u64 = per_client.iter().map(|r| r.3).sum();
     let mut lat_ms: Vec<f64> = per_client.iter().flat_map(|r| r.2.iter().copied()).collect();
     lat_ms.sort_by(|a, b| a.total_cmp(b));
-    let (p50, p99) = (e10_percentile(&lat_ms, 0.50), e10_percentile(&lat_ms, 0.99));
+    let (p50, p99) = (percentile(&lat_ms, 0.50), percentile(&lat_ms, 0.99));
 
     let server = server.take().unwrap();
     let mut check = Client::connect(server.addr()).expect("verification connect");
@@ -2066,26 +2030,27 @@ fn e15_chaos() {
         "p99 insert latency {p99:.0} ms breached the client deadline"
     );
 
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"e15_chaos\",\n");
-    out.push_str(&format!("  \"clients\": {clients},\n"));
-    out.push_str(&format!("  \"batches_per_client\": {batches},\n"));
-    out.push_str(&format!("  \"rows_per_batch\": {ROWS_PER_BATCH},\n"));
-    out.push_str(&format!(
-        "  \"host_cpus\": {},\n",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    ));
-    out.push_str(&format!("  \"acked\": {acked},\n"));
-    out.push_str(&format!("  \"failed\": {failed},\n"));
-    out.push_str(&format!("  \"lost\": {lost},\n"));
-    out.push_str(&format!("  \"duplicates\": {duplicates},\n"));
-    out.push_str(&format!("  \"drain_cycles\": {drains},\n"));
-    out.push_str(&format!("  \"retries\": {retries},\n"));
-    out.push_str(&format!("  \"p50_ms\": {p50:.2},\n"));
-    out.push_str(&format!("  \"p99_ms\": {p99:.2}\n"));
-    out.push_str("}\n");
-    std::fs::write("BENCH_chaos.json", &out).expect("write BENCH_chaos.json");
-    println!("wrote BENCH_chaos.json\n");
+    let mut doc = bench_doc("e15_chaos");
+    doc.param("clients", clients as f64);
+    doc.param("batches_per_client", batches as f64);
+    doc.param("rows_per_batch", ROWS_PER_BATCH as f64);
+    doc.param("failed", failed as f64);
+    doc.param("retries", retries as f64);
+    // Integrity and coverage are invariants of the fresh run, never
+    // relative to a baseline: a baseline that lost inserts must not
+    // grandfather a run that does, and a soak that acked nothing or
+    // drained fewer cycles proved nothing.
+    for (key, metric, count, better, bound) in [
+        ("integrity", "lost", lost, Better::Lower, Bound::AbsMax(0.0)),
+        ("integrity", "duplicates", duplicates, Better::Lower, Bound::AbsMax(0.0)),
+        ("coverage", "acked", acked, Better::Higher, Bound::AbsMin(1.0)),
+        ("coverage", "drain_cycles", drains, Better::Higher, Bound::Rel(0.0)),
+    ] {
+        doc.cell(key, metric, count as f64, "count", better, bound);
+    }
+    doc.cell("insert", "p50_ms", round(p50, 2), "ms", Better::Lower, REL);
+    doc.cell("insert", "p99_ms", round(p99, 2), "ms", Better::Lower, REL);
+    write_bench("BENCH_chaos.json", &doc);
 }
 
 // ---------------------------------------------------------------------------
@@ -2132,8 +2097,9 @@ fn e12_ingest() {
         "durability", "ingest s", "points/s", "wal MiB", "recovery s", "queries", "violations"
     );
 
-    type E12Row = (String, f64, f64, u64, f64, usize, usize, usize);
-    let mut json_rows: Vec<E12Row> = Vec::new();
+    let mut doc = bench_doc("e12_streaming_ingest");
+    doc.param("points", total as f64);
+    doc.param("batch_rows", BATCH as f64);
     for (label, durability) in policies {
         let dir = std::env::temp_dir().join(format!("lidardb_e12_{label}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -2221,40 +2187,22 @@ fn e12_ingest() {
             rep.seconds,
         );
         assert_eq!(v, 0, "snapshot violations under {label}");
-        json_rows.push((
-            label.to_string(),
-            ingest_seconds,
-            pps,
-            wal_bytes,
-            rep.seconds,
-            rep.replayed_rows,
-            q,
-            v,
-        ));
+        doc.param(format!("{label}.ingest_seconds"), round(ingest_seconds, 6));
+        doc.param(format!("{label}.wal_bytes"), wal_bytes as f64);
+        doc.param(format!("{label}.recovered_rows"), rep.replayed_rows as f64);
+        doc.param(format!("{label}.queries"), q as f64);
+        doc.param(format!("{label}.snapshot_violations"), v as f64);
+        let pps = round(pps, 0);
+        doc.cell(label, "points_per_sec", pps, "1/s", Better::Higher, REL);
+        let recovery = round(rep.seconds, 6);
+        doc.cell(label, "recovery_seconds", recovery, "s", Better::Lower, REL);
 
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_file(&wal);
     }
 
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"e12_streaming_ingest\",\n");
-    out.push_str(&format!("  \"points\": {total},\n"));
-    out.push_str(&format!("  \"batch_rows\": {BATCH},\n"));
-    out.push_str("  \"policies\": [\n");
-    for (i, (label, secs, pps, wal_bytes, rec_secs, rec_rows, q, v)) in
-        json_rows.iter().enumerate()
-    {
-        out.push_str(&format!(
-            "    {{\"durability\": \"{label}\", \"ingest_seconds\": {secs:.6}, \
-             \"points_per_sec\": {pps:.0}, \"wal_bytes\": {wal_bytes}, \
-             \"recovery_seconds\": {rec_secs:.6}, \"recovered_rows\": {rec_rows}, \
-             \"queries\": {q}, \"snapshot_violations\": {v}}}{}\n",
-            if i + 1 < json_rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write("BENCH_ingest.json", &out).expect("write BENCH_ingest.json");
-    println!("\nwrote BENCH_ingest.json\n");
+    println!();
+    write_bench("BENCH_ingest.json", &doc);
 }
 
 // ---------------------------------------------------------------------------
@@ -2264,8 +2212,8 @@ fn e12_ingest() {
 /// Flat-vs-tiled comparison over an SFC-tiled directory whose resident
 /// budget is a quarter of the dataset: zone-map prune ratios, LRU
 /// residency (peak must stay under the budget), and identical rows at
-/// every worker count. Emits the E9 `queries[].runs[]` JSON shape so
-/// `bench_gate --kind tiles` gates it with the query comparator.
+/// every worker count. Emits `BENCH_tiles.json`, whose cells are the
+/// same per-stage p50s as E9's.
 fn e13_tiles() {
     use lidardb_core::{TileOptions, TiledCloud};
 
@@ -2462,53 +2410,23 @@ fn e13_tiles() {
         tc.tile_evictions()
     );
 
-    // Same hand-rolled queries[].runs[] shape as E9, so the query gate
-    // extractor reads this document unchanged (`bench_gate --kind tiles`).
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"e13_tiled_query\",\n");
-    out.push_str(&format!("  \"points\": {},\n", pc.num_points()));
-    out.push_str(&format!("  \"tiles\": {n_tiles},\n"));
-    out.push_str(&format!("  \"dataset_bytes\": {flat_bytes},\n"));
-    out.push_str(&format!("  \"resident_budget_bytes\": {budget},\n"));
-    out.push_str(&format!(
-        "  \"peak_resident_bytes\": {},\n",
-        tc.peak_resident_bytes()
-    ));
-    out.push_str(&format!(
-        "  \"host_cpus\": {},\n",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    ));
-    out.push_str("  \"queries\": [\n");
-    for (qi, (name, rows, prune_ratio, flat1_bbox, runs)) in json_queries.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"name\": \"{name}\",\n"));
-        out.push_str(&format!("      \"rows\": {rows},\n"));
-        out.push_str(&format!("      \"tile_prune_ratio\": {prune_ratio:.3},\n"));
-        out.push_str("      \"runs\": [\n");
-        for (ri, r) in runs.iter().enumerate() {
-            out.push_str(&format!(
-                "        {{\"mode\": \"{}\", \"workers\": {}, \"t_imprints\": {:.6}, \
-                 \"t_bbox\": {:.6}, \"t_refine\": {:.6}, \"t_total\": {:.6}, \
-                 \"bbox_speedup_vs_serial\": {:.3}}}{}\n",
-                r.mode,
-                r.workers,
-                r.t_imprints,
-                r.t_bbox,
-                r.t_refine,
-                r.t_total,
-                flat1_bbox / r.t_bbox.max(1e-12),
-                if ri + 1 < runs.len() { "," } else { "" }
-            ));
+    let mut doc = bench_doc("e13_tiled_query");
+    doc.param("points", pc.num_points() as f64);
+    doc.param("tiles", n_tiles as f64);
+    doc.param("dataset_bytes", flat_bytes as f64);
+    doc.param("resident_budget_bytes", budget as f64);
+    doc.param("peak_resident_bytes", tc.peak_resident_bytes() as f64);
+    for (name, rows, prune_ratio, flat1_bbox, runs) in &json_queries {
+        doc.param(format!("{name}.rows"), *rows as f64);
+        doc.param(format!("{name}.tile_prune_ratio"), round(*prune_ratio, 3));
+        for r in runs {
+            let key = format!("{name}/{}/{}", r.mode, r.workers);
+            let speedup = round(flat1_bbox / r.t_bbox.max(1e-12), 3);
+            doc.param(format!("{key}.bbox_speedup_vs_serial"), speedup);
+            r.push_cells(&mut doc, &key);
         }
-        out.push_str("      ]\n");
-        out.push_str(&format!(
-            "    }}{}\n",
-            if qi + 1 < json_queries.len() { "," } else { "" }
-        ));
     }
-    out.push_str("  ]\n}\n");
-    std::fs::write("BENCH_tiles.json", &out).expect("write BENCH_tiles.json");
-    println!("wrote BENCH_tiles.json\n");
+    write_bench("BENCH_tiles.json", &doc);
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,46 +1,78 @@
-//! The CI perf-regression gate: diff a fresh `BENCH_query.json` against
-//! the committed baseline and fail on >25% regression in any stage's p50.
+//! The CI perf-regression gate: one document schema and one comparison
+//! for every gated experiment.
 //!
-//! The harness's per-run timings are already medians-of-3 (`e9_parallel`
-//! picks the median repetition), so each `t_*` field *is* the stage's
-//! p50 for that (query, mode, workers) cell. The gate compares cells
-//! pairwise — a fresh run missing a baseline cell is itself a regression
-//! (coverage must not silently shrink) — and ignores cells faster than
-//! [`TIME_FLOOR_SECONDS`], where scheduler noise dwarfs the signal.
+//! Every `BENCH_*.json` the harness writes is a [`Doc`]:
 //!
-//! Everything is hand-rolled (tiny JSON value parser included): the tree
-//! deliberately has no serde. `scripts/bench_gate.sh` wires this into CI
-//! via the `bench_gate` binary; `--scale` produces the synthetically
-//! slowed copy the negative test feeds back through the gate.
+//! ```text
+//! {"experiment": "e9_parallel_query",
+//!  "host": {"cpus": 2},
+//!  "params": {"points": 12000000, ...},
+//!  "cells": [{"key": "bbox_36pct/threads/1", "metric": "t_bbox", "value": 0.170221,
+//!             "unit": "s", "better": "lower", "bound": {"rel": 0.25}}, ...]}
+//! ```
+//!
+//! `params` is context the gate never reads (dataset sizes, client
+//! counts, speedups). Each cell carries its own bound as data:
+//!
+//! * `{"rel": r}` — the fresh value may be worse than the baseline by at
+//!   most the fraction `r`, in the cell's `better` direction. Time cells
+//!   (`s`, `ms`) whose baseline is under [`TIME_FLOOR_SECONDS`] are not
+//!   gated: at that scale a cold cache costs more than any bound.
+//! * `{"abs_max": x}` / `{"abs_min": x}` — an invariant on the fresh value
+//!   alone, whatever the baseline measured, so a broken baseline cannot
+//!   grandfather a broken run (lost inserts, recorder overhead).
+//!
+//! [`compare`] reads every bound, direction and unit from the baseline; a
+//! fresh cell that restates a different bound is a typed error, so a
+//! fresh run cannot loosen its own gate. A baseline cell missing from the
+//! fresh run, or a fresh cell with no baseline, is a regression. A pair
+//! measured on different CPU counts is refused outright.
+//!
+//! Everything is hand-rolled (tiny JSON parser and serializer included):
+//! the tree deliberately has no serde. `scripts/bench_gate.sh` runs the
+//! gate through the `bench_gate` binary, whose `--scale` writes the
+//! [`degrade`]d copy the negative CI check feeds back through the gate.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
-/// Fractional slowdown tolerated per stage before the gate trips (25%).
+/// The relative bound of every gated timing and throughput cell (25%).
 pub const REGRESSION_THRESHOLD: f64 = 0.25;
 
-/// Baseline cells faster than this (seconds) are not gated — at
-/// sub-millisecond scale a cold cache costs more than 25%.
+/// Time cells whose baseline is under this many seconds are not gated by
+/// a relative bound.
 pub const TIME_FLOOR_SECONDS: f64 = 1e-3;
 
-/// The timed stages of one benchmark run, in report order.
-pub const STAGES: [&str; 4] = ["t_imprints", "t_bbox", "t_refine", "t_total"];
-
-/// A structural problem with a benchmark document. The gate treats these
-/// as "the gate itself is broken" (exit code 2), never as a pass: a
-/// baseline with a NaN or negative p50 would otherwise defeat every
-/// `fresh > base * (1 + threshold)` comparison silently.
+/// A structural problem with a benchmark document or pair. The gate
+/// treats these as "the gate itself is broken" (exit code 2), never as a
+/// pass: a NaN baseline would otherwise defeat every comparison silently.
 #[derive(Debug, Clone, PartialEq)]
 pub enum GateError {
-    /// A document is missing required structure (arrays, names, stages).
+    /// A document is missing required structure.
     Shape(String),
-    /// A timing or throughput cell holds a non-finite or negative value.
+    /// A cell holds a non-finite value, or a negative one outside `%`.
     InvalidMeasurement {
-        /// `query/mode/workers` (or `ingest/<policy>`) of the bad cell.
+        /// The cell's key.
         cell: String,
-        /// The offending field.
+        /// The cell's metric.
         field: String,
         /// The value as parsed.
         value: f64,
+    },
+    /// Baseline and fresh run were measured on different CPU counts.
+    HostMismatch {
+        /// `host.cpus` of the baseline.
+        base: u64,
+        /// `host.cpus` of the fresh run.
+        fresh: u64,
+    },
+    /// A fresh cell restates a bound different from its baseline's.
+    BoundMismatch {
+        /// `key metric` of the cell.
+        cell: String,
+        /// The baseline's bound (the one that governs).
+        base: Bound,
+        /// The bound the fresh cell claimed.
+        fresh: Bound,
     },
 }
 
@@ -50,8 +82,17 @@ impl std::fmt::Display for GateError {
             GateError::Shape(msg) => write!(f, "{msg}"),
             GateError::InvalidMeasurement { cell, field, value } => write!(
                 f,
-                "{cell}: {field} = {value} is not a valid measurement \
-                 (finite and non-negative required)"
+                "{cell} {field}: {value} is not a valid measurement \
+                 (finite, and non-negative unless the unit is %, required)"
+            ),
+            GateError::HostMismatch { base, fresh } => write!(
+                f,
+                "baseline ran on {base} cpus, fresh run on {fresh}: \
+                 re-take the baseline on this host instead of comparing across hosts"
+            ),
+            GateError::BoundMismatch { cell, base, fresh } => write!(
+                f,
+                "{cell}: fresh cell claims bound {fresh}, baseline says {base}"
             ),
         }
     }
@@ -65,25 +106,12 @@ impl From<String> for GateError {
     }
 }
 
-/// Reject NaN/∞/negative measurements before they reach a comparison.
-fn check_measurement(cell: &str, field: &str, value: f64) -> Result<f64, GateError> {
-    if value.is_finite() && value >= 0.0 {
-        Ok(value)
-    } else {
-        Err(GateError::InvalidMeasurement {
-            cell: cell.to_string(),
-            field: field.to_string(),
-            value,
-        })
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Minimal JSON value parser
+// Minimal JSON value: parser and serializer
 // ---------------------------------------------------------------------------
 
-/// A parsed JSON value. Only what `BENCH_query.json` needs — numbers are
-/// `f64`, object keys keep insertion order via pairs.
+/// A parsed JSON value. Numbers are `f64`; object keys keep insertion
+/// order via pairs.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`
@@ -92,8 +120,7 @@ pub enum Json {
     Bool(bool),
     /// Any number.
     Num(f64),
-    /// A string (no escape handling beyond `\"` and `\\` — the harness
-    /// emits neither).
+    /// A string (escapes: `\"`, `\\`, `\n`, `\t`).
     Str(String),
     /// An array.
     Arr(Vec<Json>),
@@ -116,10 +143,10 @@ impl Json {
 
     /// Member lookup on an object.
     pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
+        self.as_obj()?
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v)
     }
 
     /// The value as a number.
@@ -145,6 +172,88 @@ impl Json {
             _ => None,
         }
     }
+
+    /// The value as an object's member list.
+    pub fn as_obj(&self) -> Option<&[(String, Json)]> {
+        match self {
+            Json::Obj(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// Serialize as a document [`Json::parse`] reads back unchanged.
+    /// Objects put one member per line; inside an array each element
+    /// stays on one line (one cell per line in a bench document).
+    /// Numbers print in their shortest round-trip form.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, Some(0));
+        out.push('\n');
+        out
+    }
+
+    /// `indent` is the nesting depth for a multi-line layout, `None` for
+    /// one line.
+    fn write(&self, out: &mut String, indent: Option<usize>) {
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Num(n) => out.push_str(&n.to_string()),
+            Json::Str(s) => {
+                out.push('"');
+                for c in s.chars() {
+                    match c {
+                        '"' => out.push_str("\\\""),
+                        '\\' => out.push_str("\\\\"),
+                        '\n' => out.push_str("\\n"),
+                        '\t' => out.push_str("\\t"),
+                        c => out.push(c),
+                    }
+                }
+                out.push('"');
+            }
+            Json::Arr(items) => write_seq(out, indent, ('[', ']'), items, |out, v, _| {
+                v.write(out, None)
+            }),
+            Json::Obj(pairs) => write_seq(out, indent, ('{', '}'), pairs, |out, (k, v), inner| {
+                Json::Str(k.clone()).write(out, None);
+                out.push_str(": ");
+                v.write(out, inner);
+            }),
+        }
+    }
+}
+
+/// Write a bracketed, comma-separated sequence, one item per line when
+/// `indent` is set.
+fn write_seq<T>(
+    out: &mut String,
+    indent: Option<usize>,
+    (open, close): (char, char),
+    items: &[T],
+    mut item: impl FnMut(&mut String, &T, Option<usize>),
+) {
+    out.push(open);
+    match indent {
+        Some(depth) if !items.is_empty() => {
+            for (i, it) in items.iter().enumerate() {
+                out.push_str(if i == 0 { "\n" } else { ",\n" });
+                out.push_str(&"  ".repeat(depth + 1));
+                item(out, it, Some(depth + 1));
+            }
+            out.push('\n');
+            out.push_str(&"  ".repeat(depth));
+        }
+        _ => {
+            for (i, it) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push_str(", ");
+                }
+                item(out, it, None);
+            }
+        }
+    }
+    out.push(close);
 }
 
 fn skip_ws(b: &[u8], pos: &mut usize) {
@@ -223,9 +332,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                             b'\\' => '\\',
                             b'n' => '\n',
                             b't' => '\t',
-                            other => {
-                                return Err(format!("unsupported escape \\{}", other as char))
-                            }
+                            other => return Err(format!("unsupported escape \\{}", other as char)),
                         });
                     }
                     other => s.push(other as char),
@@ -247,7 +354,8 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         }
         Some(_) => {
             let start = *pos;
-            while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
+            while *pos < b.len()
+                && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
             {
                 *pos += 1;
             }
@@ -261,1381 +369,774 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
 }
 
 // ---------------------------------------------------------------------------
-// Benchmark-run extraction and comparison
+// The bench document
 // ---------------------------------------------------------------------------
 
-/// One gateable cell of `BENCH_query.json`: a (query, mode, workers) run
-/// with its per-stage p50 seconds.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchRun {
-    /// Query name (`bbox_36pct`, `diamond_32pct`, ...).
-    pub query: String,
-    /// Execution mode (`serial` / `threads`).
-    pub mode: String,
-    /// Worker count.
-    pub workers: u64,
-    /// Stage name → median seconds, in [`STAGES`] order.
-    pub stages: Vec<(String, f64)>,
+/// Which direction of a cell's value is an improvement.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Better {
+    /// Latencies, durations, loss counts.
+    Lower,
+    /// Throughputs, coverage counts.
+    Higher,
 }
 
-impl BenchRun {
-    /// The cell's identity within a document.
-    pub fn key(&self) -> (String, String, u64) {
-        (self.query.clone(), self.mode.clone(), self.workers)
-    }
+/// A cell's gate, carried in the document as data.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Bound {
+    /// Worse than the baseline by at most this fraction.
+    Rel(f64),
+    /// The fresh value may not exceed this.
+    AbsMax(f64),
+    /// The fresh value may not fall below this.
+    AbsMin(f64),
 }
 
-/// Pull every run out of a parsed `BENCH_query.json`. Every captured
-/// stage timing is validated: NaN, infinite, or negative p50s are a
-/// [`GateError::InvalidMeasurement`], not data.
-pub fn extract_runs(doc: &Json) -> Result<Vec<BenchRun>, GateError> {
-    let queries = doc
-        .get("queries")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| GateError::Shape("document has no \"queries\" array".into()))?;
-    let mut out = Vec::new();
-    for q in queries {
-        let qname = q
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| GateError::Shape("query entry has no \"name\"".into()))?;
-        for run in q.get("runs").and_then(Json::as_arr).unwrap_or(&[]) {
-            let mode = run
-                .get("mode")
-                .and_then(Json::as_str)
-                .ok_or_else(|| GateError::Shape("run has no \"mode\"".into()))?;
-            let workers = run.get("workers").and_then(Json::as_f64).unwrap_or(1.0) as u64;
-            let cell = format!("{qname}/{mode}/{workers}");
-            let mut stages = Vec::with_capacity(STAGES.len());
-            for s in STAGES {
-                if let Some(v) = run.get(s).and_then(Json::as_f64) {
-                    stages.push((s.to_string(), check_measurement(&cell, s, v)?));
-                }
-            }
-            if stages.is_empty() {
-                return Err(GateError::Shape(format!("run {cell} has no stage timings")));
-            }
-            out.push(BenchRun {
-                query: qname.to_string(),
-                mode: mode.to_string(),
-                workers,
-                stages,
-            });
+impl std::fmt::Display for Bound {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Bound::Rel(r) => write!(f, "rel {r}"),
+            Bound::AbsMax(x) => write!(f, "abs_max {x}"),
+            Bound::AbsMin(x) => write!(f, "abs_min {x}"),
         }
     }
-    if out.is_empty() {
-        return Err(GateError::Shape("document contains no runs".into()));
-    }
-    Ok(out)
 }
+
+/// One gated measurement.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Cell {
+    /// What was measured (`bbox_36pct/threads/2`, `governed`, ...).
+    pub key: String,
+    /// Which figure of it (`t_bbox`, `p99_ms`, ...); `(key, metric)` is
+    /// the cell's identity within a document.
+    pub metric: String,
+    /// The measurement.
+    pub value: f64,
+    /// `s` / `ms` (time-floored), `%` (may be negative), or any other
+    /// label (`1/s`, `count`).
+    pub unit: String,
+    /// The direction of improvement.
+    pub better: Better,
+    /// The gate this cell is held to.
+    pub bound: Bound,
+}
+
+impl Cell {
+    fn id(&self) -> (&str, &str) {
+        (&self.key, &self.metric)
+    }
+
+    /// Whether `fresh` breaks this (baseline) cell's bound.
+    fn violated_by(&self, fresh: f64) -> bool {
+        match self.bound {
+            Bound::Rel(r) => {
+                let floor = match self.unit.as_str() {
+                    "s" => TIME_FLOOR_SECONDS,
+                    "ms" => TIME_FLOOR_SECONDS * 1e3,
+                    _ => 0.0,
+                };
+                self.value >= floor
+                    && match self.better {
+                        Better::Lower => fresh > self.value * (1.0 + r),
+                        Better::Higher => fresh < self.value * (1.0 - r),
+                    }
+            }
+            Bound::AbsMax(x) => fresh > x,
+            Bound::AbsMin(x) => fresh < x,
+        }
+    }
+}
+
+/// One `BENCH_*.json` document.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Doc {
+    /// Experiment name (`e9_parallel_query`, ...).
+    pub experiment: String,
+    /// `host.cpus`: the CPU count the run saw.
+    pub cpus: u64,
+    /// Ungated context, kept verbatim.
+    pub params: Vec<(String, Json)>,
+    /// The gated cells, in report order.
+    pub cells: Vec<Cell>,
+}
+
+impl Doc {
+    /// An empty document for `experiment` measured on `cpus` CPUs.
+    pub fn new(experiment: &str, cpus: u64) -> Doc {
+        Doc {
+            experiment: experiment.to_string(),
+            cpus,
+            params: Vec::new(),
+            cells: Vec::new(),
+        }
+    }
+
+    /// Record an ungated parameter.
+    pub fn param(&mut self, name: impl Into<String>, value: f64) {
+        self.params.push((name.into(), Json::Num(value)));
+    }
+
+    /// Record a gated cell.
+    pub fn cell(
+        &mut self,
+        key: impl Into<String>,
+        metric: &str,
+        value: f64,
+        unit: &str,
+        better: Better,
+        bound: Bound,
+    ) {
+        self.cells.push(Cell {
+            key: key.into(),
+            metric: metric.to_string(),
+            value,
+            unit: unit.to_string(),
+            better,
+            bound,
+        });
+    }
+
+    /// Parse and validate a document.
+    pub fn parse(text: &str) -> Result<Doc, GateError> {
+        Doc::from_json(&Json::parse(text)?)
+    }
+
+    /// Read a parsed document: required members and well-formed cells,
+    /// then [`Doc::validate`].
+    fn from_json(doc: &Json) -> Result<Doc, GateError> {
+        let shape = |msg: &str| GateError::Shape(msg.to_string());
+        let experiment = doc
+            .get("experiment")
+            .and_then(Json::as_str)
+            .ok_or_else(|| shape("document has no \"experiment\""))?;
+        let cpus = doc
+            .get("host")
+            .and_then(|h| h.get("cpus"))
+            .and_then(Json::as_f64)
+            .filter(|c| *c >= 1.0 && c.fract() == 0.0)
+            .ok_or_else(|| shape("document has no positive integer \"host\".\"cpus\""))?;
+        let params = doc
+            .get("params")
+            .and_then(Json::as_obj)
+            .ok_or_else(|| shape("document has no \"params\" object"))?;
+        let cells_json = doc
+            .get("cells")
+            .and_then(Json::as_arr)
+            .ok_or_else(|| shape("document has no \"cells\" array"))?;
+        let mut out = Doc {
+            params: params.to_vec(),
+            ..Doc::new(experiment, cpus as u64)
+        };
+        for c in cells_json {
+            let text = |field: &str| {
+                c.get(field)
+                    .and_then(Json::as_str)
+                    .ok_or_else(|| GateError::Shape(format!("cell has no string \"{field}\"")))
+            };
+            let (key, metric, unit) = (text("key")?, text("metric")?, text("unit")?);
+            let cell = format!("{key} {metric}");
+            let value = c
+                .get("value")
+                .and_then(Json::as_f64)
+                .ok_or_else(|| GateError::Shape(format!("{cell}: no numeric \"value\"")))?;
+            let better = match text("better")? {
+                "lower" => Better::Lower,
+                "higher" => Better::Higher,
+                other => {
+                    return Err(GateError::Shape(format!(
+                        "{cell}: \"better\" must be lower or higher, got {other:?}"
+                    )))
+                }
+            };
+            let bound = c.get("bound").and_then(parse_bound).ok_or_else(|| {
+                GateError::Shape(format!(
+                    "{cell}: \"bound\" must be one of {{\"rel\": r >= 0}}, \
+                     {{\"abs_max\": x}}, {{\"abs_min\": x}}"
+                ))
+            })?;
+            out.cell(key, metric, value, unit, better, bound);
+        }
+        out.validate()?;
+        Ok(out)
+    }
+
+    /// Every value finite and, unless its unit is `%`, non-negative; every
+    /// `(key, metric)` unique.
+    fn validate(&self) -> Result<(), GateError> {
+        let mut seen = BTreeSet::new();
+        for c in &self.cells {
+            if !c.value.is_finite() || (c.value < 0.0 && c.unit != "%") {
+                return Err(GateError::InvalidMeasurement {
+                    cell: c.key.clone(),
+                    field: c.metric.clone(),
+                    value: c.value,
+                });
+            }
+            if !seen.insert(c.id()) {
+                return Err(GateError::Shape(format!(
+                    "{} {}: duplicate cell",
+                    c.key, c.metric
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    /// The document as a JSON value (see [`Json::render`]).
+    fn to_json(&self) -> Json {
+        let cells = self
+            .cells
+            .iter()
+            .map(|c| {
+                let (kind, x) = match c.bound {
+                    Bound::Rel(r) => ("rel", r),
+                    Bound::AbsMax(x) => ("abs_max", x),
+                    Bound::AbsMin(x) => ("abs_min", x),
+                };
+                let better = match c.better {
+                    Better::Lower => "lower",
+                    Better::Higher => "higher",
+                };
+                Json::Obj(vec![
+                    ("key".into(), Json::Str(c.key.clone())),
+                    ("metric".into(), Json::Str(c.metric.clone())),
+                    ("value".into(), Json::Num(c.value)),
+                    ("unit".into(), Json::Str(c.unit.clone())),
+                    ("better".into(), Json::Str(better.into())),
+                    ("bound".into(), Json::Obj(vec![(kind.into(), Json::Num(x))])),
+                ])
+            })
+            .collect();
+        Json::Obj(vec![
+            ("experiment".into(), Json::Str(self.experiment.clone())),
+            (
+                "host".into(),
+                Json::Obj(vec![("cpus".into(), Json::Num(self.cpus as f64))]),
+            ),
+            ("params".into(), Json::Obj(self.params.clone())),
+            ("cells".into(), Json::Arr(cells)),
+        ])
+    }
+
+    /// The document as `BENCH_*.json` text.
+    pub fn render(&self) -> String {
+        self.to_json().render()
+    }
+}
+
+fn parse_bound(j: &Json) -> Option<Bound> {
+    let [(kind, x)] = j.as_obj()? else {
+        return None;
+    };
+    let x = x.as_f64().filter(|x| x.is_finite())?;
+    match kind.as_str() {
+        "rel" if x >= 0.0 => Some(Bound::Rel(x)),
+        "abs_max" => Some(Bound::AbsMax(x)),
+        "abs_min" => Some(Bound::AbsMin(x)),
+        _ => None,
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Comparison and degradation
+// ---------------------------------------------------------------------------
 
 /// One gate violation.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Regression {
-    /// `query/mode/workers` of the offending cell.
-    pub cell: String,
-    /// Stage that regressed, `"<missing>"` for a vanished cell, or
-    /// `"<unexpected>"` for a fresh cell the baseline never measured.
-    pub stage: String,
-    /// Baseline p50 seconds.
-    pub base: f64,
-    /// Fresh p50 seconds.
-    pub fresh: f64,
+pub enum Regression {
+    /// A baseline cell the fresh run did not measure.
+    Missing {
+        /// The cell's key.
+        key: String,
+        /// The cell's metric.
+        metric: String,
+    },
+    /// A fresh cell the baseline never measured: ungated coverage
+    /// creeping in is how a gate rots.
+    Unexpected {
+        /// The cell's key.
+        key: String,
+        /// The cell's metric.
+        metric: String,
+    },
+    /// The fresh value breaks the baseline cell's bound.
+    Exceeded {
+        /// The cell's key.
+        key: String,
+        /// The cell's metric.
+        metric: String,
+        /// Baseline value.
+        base: f64,
+        /// Fresh value.
+        fresh: f64,
+        /// The bound broken.
+        bound: Bound,
+    },
 }
 
-impl Regression {
-    /// Human-readable one-liner.
-    pub fn describe(&self) -> String {
-        if self.stage == "<missing>" {
-            format!("{}: cell missing from fresh run", self.cell)
-        } else if self.stage == "<unexpected>" {
-            format!(
-                "{}: fresh cell has no baseline (re-run the harness and \
-                 commit an updated baseline to gate it)",
-                self.cell
-            )
-        } else {
-            format!(
-                "{} {}: {:.6} -> {:.6} ({:+.0}%)",
-                self.cell,
-                self.stage,
-                self.base,
-                self.fresh,
-                (self.fresh / self.base - 1.0) * 100.0
-            )
+impl std::fmt::Display for Regression {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Regression::Missing { key, metric } => {
+                write!(f, "{key} {metric}: cell missing from fresh run")
+            }
+            Regression::Unexpected { key, metric } => write!(
+                f,
+                "{key} {metric}: fresh cell has no baseline (re-run the harness \
+                 and commit an updated baseline to gate it)"
+            ),
+            Regression::Exceeded {
+                key,
+                metric,
+                base,
+                fresh,
+                bound,
+            } => {
+                write!(f, "{key} {metric}: {base} -> {fresh}")?;
+                if let Bound::Rel(_) = bound {
+                    write!(f, " ({:+.0}%)", (fresh / base - 1.0) * 100.0)?;
+                }
+                write!(f, " breaks {bound}")
+            }
         }
     }
 }
 
-/// Compare a fresh run set against the baseline: every baseline cell must
-/// be present, no gated stage may slow down by more than `threshold`, and
-/// a fresh cell the baseline never measured is flagged too — ungated
-/// coverage silently creeping in is how a gate rots.
-pub fn compare(base: &[BenchRun], fresh: &[BenchRun], threshold: f64) -> Vec<Regression> {
-    let fresh_by_key: BTreeMap<_, _> = fresh.iter().map(|r| (r.key(), r)).collect();
-    let base_keys: std::collections::BTreeSet<_> = base.iter().map(BenchRun::key).collect();
-    let mut out = Vec::new();
-    for f in fresh {
-        if !base_keys.contains(&f.key()) {
-            out.push(Regression {
-                cell: format!("{}/{}/{}", f.query, f.mode, f.workers),
-                stage: "<unexpected>".into(),
-                base: 0.0,
-                fresh: 0.0,
-            });
-        }
+/// Compare a fresh document against its baseline under the baseline's
+/// bounds. `Err` when the pair cannot be compared: different hosts, a
+/// non-finite value (or a negative one outside unit `%`) or a duplicate
+/// cell in either document, a baseline with no cells, or a fresh cell
+/// restating a different bound.
+pub fn compare(base: &Doc, fresh: &Doc) -> Result<Vec<Regression>, GateError> {
+    if base.cpus != fresh.cpus {
+        return Err(GateError::HostMismatch {
+            base: base.cpus,
+            fresh: fresh.cpus,
+        });
     }
-    for b in base {
-        let cell = format!("{}/{}/{}", b.query, b.mode, b.workers);
-        let Some(f) = fresh_by_key.get(&b.key()) else {
-            out.push(Regression {
-                cell,
-                stage: "<missing>".into(),
-                base: 0.0,
-                fresh: 0.0,
+    base.validate()?;
+    fresh.validate()?;
+    if base.cells.is_empty() {
+        return Err(GateError::Shape(format!(
+            "baseline {} has no cells to gate",
+            base.experiment
+        )));
+    }
+    let base_ids: BTreeSet<_> = base.cells.iter().map(Cell::id).collect();
+    let fresh_by_id: BTreeMap<_, _> = fresh.cells.iter().map(|c| (c.id(), c)).collect();
+    let mut out: Vec<Regression> = fresh
+        .cells
+        .iter()
+        .filter(|f| !base_ids.contains(&f.id()))
+        .map(|f| Regression::Unexpected {
+            key: f.key.clone(),
+            metric: f.metric.clone(),
+        })
+        .collect();
+    for b in &base.cells {
+        let Some(f) = fresh_by_id.get(&b.id()) else {
+            out.push(Regression::Missing {
+                key: b.key.clone(),
+                metric: b.metric.clone(),
             });
             continue;
         };
-        for (stage, base_secs) in &b.stages {
-            if *base_secs < TIME_FLOOR_SECONDS {
-                continue;
-            }
-            let Some((_, fresh_secs)) = f.stages.iter().find(|(s, _)| s == stage) else {
-                out.push(Regression {
-                    cell: cell.clone(),
-                    stage: stage.clone(),
-                    base: *base_secs,
-                    fresh: 0.0,
-                });
-                continue;
-            };
-            if *fresh_secs > base_secs * (1.0 + threshold) {
-                out.push(Regression {
-                    cell: cell.clone(),
-                    stage: stage.clone(),
-                    base: *base_secs,
-                    fresh: *fresh_secs,
-                });
-            }
+        if f.bound != b.bound {
+            return Err(GateError::BoundMismatch {
+                cell: format!("{} {}", b.key, b.metric),
+                base: b.bound,
+                fresh: f.bound,
+            });
         }
-    }
-    out
-}
-
-/// Render runs back into a document the gate can read — used by `--scale`
-/// to produce the synthetically slowed copy for the negative CI test.
-pub fn render_runs(runs: &[BenchRun]) -> String {
-    let mut by_query: Vec<(&str, Vec<&BenchRun>)> = Vec::new();
-    for r in runs {
-        match by_query.iter_mut().find(|(q, _)| *q == r.query) {
-            Some((_, v)) => v.push(r),
-            None => by_query.push((&r.query, vec![r])),
+        if b.violated_by(f.value) {
+            out.push(Regression::Exceeded {
+                key: b.key.clone(),
+                metric: b.metric.clone(),
+                base: b.value,
+                fresh: f.value,
+                bound: b.bound,
+            });
         }
-    }
-    let mut out = String::from("{\n  \"experiment\": \"bench_gate_scaled\",\n  \"queries\": [\n");
-    for (qi, (qname, runs)) in by_query.iter().enumerate() {
-        out.push_str(&format!("    {{\n      \"name\": \"{qname}\",\n      \"runs\": [\n"));
-        for (ri, r) in runs.iter().enumerate() {
-            out.push_str(&format!(
-                "        {{\"mode\": \"{}\", \"workers\": {}",
-                r.mode, r.workers
-            ));
-            for (s, v) in &r.stages {
-                out.push_str(&format!(", \"{s}\": {v:.6}"));
-            }
-            out.push_str(if ri + 1 < runs.len() { "},\n" } else { "}\n" });
-        }
-        out.push_str(if qi + 1 < by_query.len() {
-            "      ]\n    },\n"
-        } else {
-            "      ]\n    }\n"
-        });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Ingest-gate extraction and comparison (BENCH_ingest.json)
-// ---------------------------------------------------------------------------
-
-/// One gateable cell of `BENCH_ingest.json`: a durability policy with its
-/// ingest throughput and cold-start recovery time.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IngestRun {
-    /// Durability policy (`none` / `group_commit` / `always`).
-    pub policy: String,
-    /// Acked points per second during ingest.
-    pub points_per_sec: f64,
-    /// Seconds to replay the full WAL on reopen.
-    pub recovery_seconds: f64,
-}
-
-/// Pull every policy row out of a parsed `BENCH_ingest.json`, rejecting
-/// NaN/infinite/negative measurements like [`extract_runs`] does.
-pub fn extract_ingest_runs(doc: &Json) -> Result<Vec<IngestRun>, GateError> {
-    let policies = doc
-        .get("policies")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| GateError::Shape("document has no \"policies\" array".into()))?;
-    let mut out = Vec::new();
-    for p in policies {
-        let policy = p
-            .get("durability")
-            .and_then(Json::as_str)
-            .ok_or_else(|| GateError::Shape("policy entry has no \"durability\"".into()))?;
-        let cell = format!("ingest/{policy}");
-        let pps = p
-            .get("points_per_sec")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| {
-                GateError::Shape(format!("policy {policy} has no \"points_per_sec\""))
-            })?;
-        let rec = p
-            .get("recovery_seconds")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| {
-                GateError::Shape(format!("policy {policy} has no \"recovery_seconds\""))
-            })?;
-        out.push(IngestRun {
-            policy: policy.to_string(),
-            points_per_sec: check_measurement(&cell, "points_per_sec", pps)?,
-            recovery_seconds: check_measurement(&cell, "recovery_seconds", rec)?,
-        });
-    }
-    if out.is_empty() {
-        return Err(GateError::Shape("document contains no policies".into()));
     }
     Ok(out)
 }
 
-/// Compare fresh ingest numbers against the baseline: every policy must
-/// still be measured, throughput may not drop by more than `threshold`,
-/// and recovery may not slow down by more than `threshold` (recovery
-/// faster than [`TIME_FLOOR_SECONDS`] is noise, not signal).
-pub fn compare_ingest(
-    base: &[IngestRun],
-    fresh: &[IngestRun],
-    threshold: f64,
-) -> Vec<Regression> {
-    let fresh_by_policy: BTreeMap<&str, &IngestRun> =
-        fresh.iter().map(|r| (r.policy.as_str(), r)).collect();
-    let mut out = Vec::new();
-    for f in fresh {
-        if !base.iter().any(|b| b.policy == f.policy) {
-            out.push(Regression {
-                cell: format!("ingest/{}", f.policy),
-                stage: "<unexpected>".into(),
-                base: 0.0,
-                fresh: 0.0,
-            });
-        }
-    }
-    for b in base {
-        let cell = format!("ingest/{}", b.policy);
-        let Some(f) = fresh_by_policy.get(b.policy.as_str()) else {
-            out.push(Regression {
-                cell,
-                stage: "<missing>".into(),
-                base: 0.0,
-                fresh: 0.0,
-            });
-            continue;
+/// A copy of `doc` worsened for the negative CI check: every `rel` cell
+/// moves by `factor` in its worse direction (multiplied when lower is
+/// better, divided when higher is), and every absolute cell lands one
+/// unit past its bound.
+pub fn degrade(doc: &Doc, factor: f64) -> Doc {
+    let mut out = doc.clone();
+    for c in &mut out.cells {
+        c.value = match (c.bound, c.better) {
+            (Bound::Rel(_), Better::Lower) => c.value * factor,
+            (Bound::Rel(_), Better::Higher) => c.value / factor,
+            (Bound::AbsMax(x), _) => x + 1.0,
+            (Bound::AbsMin(x), _) => x - 1.0,
         };
-        if f.points_per_sec < b.points_per_sec * (1.0 - threshold) {
-            out.push(Regression {
-                cell: cell.clone(),
-                stage: "points_per_sec".into(),
-                base: b.points_per_sec,
-                fresh: f.points_per_sec,
-            });
-        }
-        if b.recovery_seconds >= TIME_FLOOR_SECONDS
-            && f.recovery_seconds > b.recovery_seconds * (1.0 + threshold)
-        {
-            out.push(Regression {
-                cell,
-                stage: "recovery_seconds".into(),
-                base: b.recovery_seconds,
-                fresh: f.recovery_seconds,
-            });
-        }
     }
     out
-}
-
-/// Render ingest runs back into a gate-readable document — `--scale`'s
-/// synthetically degraded copy for the negative CI test.
-pub fn render_ingest_runs(runs: &[IngestRun]) -> String {
-    let mut out =
-        String::from("{\n  \"experiment\": \"ingest_gate_scaled\",\n  \"policies\": [\n");
-    for (i, r) in runs.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"durability\": \"{}\", \"points_per_sec\": {:.0}, \
-             \"recovery_seconds\": {:.6}}}{}\n",
-            r.policy,
-            r.points_per_sec,
-            r.recovery_seconds,
-            if i + 1 < runs.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Degrade every policy by `factor`: throughput divided, recovery
-/// multiplied (a uniform slowdown, same knob as [`scale_times`]).
-pub fn scale_ingest(runs: &[IngestRun], factor: f64) -> Vec<IngestRun> {
-    runs.iter()
-        .map(|r| IngestRun {
-            policy: r.policy.clone(),
-            points_per_sec: r.points_per_sec / factor,
-            recovery_seconds: r.recovery_seconds * factor,
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------------
-// Server-gate extraction and comparison (BENCH_server.json)
-// ---------------------------------------------------------------------------
-
-/// Latency cells below this (milliseconds) are not gated — the loopback
-/// round-trip itself jitters by more than 25% at sub-millisecond scale.
-pub const SERVER_LATENCY_FLOOR_MS: f64 = 1.0;
-
-/// One burst configuration of `BENCH_server.json`: a named admission /
-/// deadline setup with its latency percentiles.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServerRun {
-    /// Config name (`ungoverned` / `governed`).
-    pub config: String,
-    /// Median per-query wall milliseconds (connect-to-Done).
-    pub p50_ms: f64,
-    /// 99th-percentile per-query wall milliseconds.
-    pub p99_ms: f64,
-}
-
-/// The gateable content of one `BENCH_server.json`: burst configs plus
-/// the streamed-selection throughput.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServerDoc {
-    /// One entry per burst config.
-    pub configs: Vec<ServerRun>,
-    /// Streamed-selection delivery rate (rows/second end to end).
-    pub stream_rows_per_sec: f64,
-}
-
-/// Pull the gateable cells out of a parsed `BENCH_server.json`, rejecting
-/// NaN/infinite/negative measurements like [`extract_runs`] does.
-pub fn extract_server_doc(doc: &Json) -> Result<ServerDoc, GateError> {
-    let configs = doc
-        .get("configs")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| GateError::Shape("document has no \"configs\" array".into()))?;
-    let mut runs = Vec::new();
-    for c in configs {
-        let name = c
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| GateError::Shape("config entry has no \"name\"".into()))?;
-        let cell = format!("server/{name}");
-        let p50 = c
-            .get("p50_ms")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| GateError::Shape(format!("config {name} has no \"p50_ms\"")))?;
-        let p99 = c
-            .get("p99_ms")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| GateError::Shape(format!("config {name} has no \"p99_ms\"")))?;
-        runs.push(ServerRun {
-            config: name.to_string(),
-            p50_ms: check_measurement(&cell, "p50_ms", p50)?,
-            p99_ms: check_measurement(&cell, "p99_ms", p99)?,
-        });
-    }
-    if runs.is_empty() {
-        return Err(GateError::Shape("document contains no configs".into()));
-    }
-    let rps = doc
-        .get("stream")
-        .and_then(|s| s.get("rows_per_sec"))
-        .and_then(Json::as_f64)
-        .ok_or_else(|| GateError::Shape("document has no \"stream\".\"rows_per_sec\"".into()))?;
-    Ok(ServerDoc {
-        configs: runs,
-        stream_rows_per_sec: check_measurement("server/stream", "rows_per_sec", rps)?,
-    })
-}
-
-/// Compare fresh server numbers against the baseline: every config must
-/// still be measured, no gated percentile may slow down by more than
-/// `threshold`, and streamed-delivery throughput may not drop by more
-/// than `threshold`.
-pub fn compare_server(base: &ServerDoc, fresh: &ServerDoc, threshold: f64) -> Vec<Regression> {
-    let fresh_by_name: BTreeMap<&str, &ServerRun> = fresh
-        .configs
-        .iter()
-        .map(|r| (r.config.as_str(), r))
-        .collect();
-    let mut out = Vec::new();
-    for f in &fresh.configs {
-        if !base.configs.iter().any(|b| b.config == f.config) {
-            out.push(Regression {
-                cell: format!("server/{}", f.config),
-                stage: "<unexpected>".into(),
-                base: 0.0,
-                fresh: 0.0,
-            });
-        }
-    }
-    for b in &base.configs {
-        let cell = format!("server/{}", b.config);
-        let Some(f) = fresh_by_name.get(b.config.as_str()) else {
-            out.push(Regression {
-                cell,
-                stage: "<missing>".into(),
-                base: 0.0,
-                fresh: 0.0,
-            });
-            continue;
-        };
-        for (stage, base_ms, fresh_ms) in
-            [("p50_ms", b.p50_ms, f.p50_ms), ("p99_ms", b.p99_ms, f.p99_ms)]
-        {
-            if base_ms < SERVER_LATENCY_FLOOR_MS {
-                continue;
-            }
-            if fresh_ms > base_ms * (1.0 + threshold) {
-                out.push(Regression {
-                    cell: cell.clone(),
-                    stage: stage.into(),
-                    base: base_ms,
-                    fresh: fresh_ms,
-                });
-            }
-        }
-    }
-    if fresh.stream_rows_per_sec < base.stream_rows_per_sec * (1.0 - threshold) {
-        out.push(Regression {
-            cell: "server/stream".into(),
-            stage: "rows_per_sec".into(),
-            base: base.stream_rows_per_sec,
-            fresh: fresh.stream_rows_per_sec,
-        });
-    }
-    out
-}
-
-/// Render a server doc back into a gate-readable document — `--scale`'s
-/// synthetically degraded copy for the negative CI test.
-pub fn render_server_doc(doc: &ServerDoc) -> String {
-    let mut out =
-        String::from("{\n  \"experiment\": \"server_gate_scaled\",\n  \"configs\": [\n");
-    for (i, r) in doc.configs.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"p50_ms\": {:.3}, \"p99_ms\": {:.3}}}{}\n",
-            r.config,
-            r.p50_ms,
-            r.p99_ms,
-            if i + 1 < doc.configs.len() { "," } else { "" }
-        ));
-    }
-    out.push_str(&format!(
-        "  ],\n  \"stream\": {{\"rows_per_sec\": {:.0}}}\n}}\n",
-        doc.stream_rows_per_sec
-    ));
-    out
-}
-
-/// Degrade a server doc by `factor`: latencies multiplied, streamed
-/// throughput divided (same knob as [`scale_times`]).
-pub fn scale_server(doc: &ServerDoc, factor: f64) -> ServerDoc {
-    ServerDoc {
-        configs: doc
-            .configs
-            .iter()
-            .map(|r| ServerRun {
-                config: r.config.clone(),
-                p50_ms: r.p50_ms * factor,
-                p99_ms: r.p99_ms * factor,
-            })
-            .collect(),
-        stream_rows_per_sec: doc.stream_rows_per_sec / factor,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Observability-gate extraction and comparison (BENCH_obs.json)
-// ---------------------------------------------------------------------------
-
-/// Ceiling on the flight recorder's p99 overhead, in percent: E14's
-/// recorder-on governed burst must land within this of recorder-off.
-/// This is the ISSUE's "observability is free" acceptance bound, checked
-/// absolutely — not relative to a baseline that might itself have
-/// regressed.
-pub const OBS_MAX_OVERHEAD_PCT: f64 = 5.0;
-
-/// The gateable content of one `BENCH_obs.json` (experiment E14): the
-/// governed burst with the recorder off and on (same latency cells as a
-/// [`ServerRun`]) plus the measured recorder overhead.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ObsDoc {
-    /// One entry per config (`recorder_off` / `recorder_on`).
-    pub configs: Vec<ServerRun>,
-    /// Recorder-on p99 over recorder-off p99, in percent (may be
-    /// negative: the two bursts are independent samples).
-    pub overhead_p99_pct: f64,
-}
-
-/// Pull the gateable cells out of a parsed `BENCH_obs.json`. The latency
-/// cells get the usual NaN/negative screening; the overhead cell only
-/// needs to be finite (negative is legitimate noise).
-pub fn extract_obs_doc(doc: &Json) -> Result<ObsDoc, GateError> {
-    let configs = doc
-        .get("configs")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| GateError::Shape("document has no \"configs\" array".into()))?;
-    let mut runs = Vec::new();
-    for c in configs {
-        let name = c
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| GateError::Shape("config entry has no \"name\"".into()))?;
-        let cell = format!("obs/{name}");
-        let p50 = c
-            .get("p50_ms")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| GateError::Shape(format!("config {name} has no \"p50_ms\"")))?;
-        let p99 = c
-            .get("p99_ms")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| GateError::Shape(format!("config {name} has no \"p99_ms\"")))?;
-        runs.push(ServerRun {
-            config: name.to_string(),
-            p50_ms: check_measurement(&cell, "p50_ms", p50)?,
-            p99_ms: check_measurement(&cell, "p99_ms", p99)?,
-        });
-    }
-    if runs.is_empty() {
-        return Err(GateError::Shape("document contains no configs".into()));
-    }
-    let overhead = doc
-        .get("overhead_p99_pct")
-        .and_then(Json::as_f64)
-        .ok_or_else(|| GateError::Shape("document has no \"overhead_p99_pct\"".into()))?;
-    if !overhead.is_finite() {
-        return Err(GateError::InvalidMeasurement {
-            cell: "obs/overhead".into(),
-            field: "overhead_p99_pct".into(),
-            value: overhead,
-        });
-    }
-    Ok(ObsDoc {
-        configs: runs,
-        overhead_p99_pct: overhead,
-    })
-}
-
-/// Compare fresh observability numbers against the baseline: both
-/// configs must still be measured, gated percentiles may not slow down
-/// past `threshold`, and the fresh recorder overhead must sit under the
-/// absolute [`OBS_MAX_OVERHEAD_PCT`] ceiling regardless of what the
-/// baseline measured.
-pub fn compare_obs(base: &ObsDoc, fresh: &ObsDoc, threshold: f64) -> Vec<Regression> {
-    let fresh_by_name: BTreeMap<&str, &ServerRun> = fresh
-        .configs
-        .iter()
-        .map(|r| (r.config.as_str(), r))
-        .collect();
-    let mut out = Vec::new();
-    for f in &fresh.configs {
-        if !base.configs.iter().any(|b| b.config == f.config) {
-            out.push(Regression {
-                cell: format!("obs/{}", f.config),
-                stage: "<unexpected>".into(),
-                base: 0.0,
-                fresh: 0.0,
-            });
-        }
-    }
-    for b in &base.configs {
-        let cell = format!("obs/{}", b.config);
-        let Some(f) = fresh_by_name.get(b.config.as_str()) else {
-            out.push(Regression {
-                cell,
-                stage: "<missing>".into(),
-                base: 0.0,
-                fresh: 0.0,
-            });
-            continue;
-        };
-        for (stage, base_ms, fresh_ms) in
-            [("p50_ms", b.p50_ms, f.p50_ms), ("p99_ms", b.p99_ms, f.p99_ms)]
-        {
-            if base_ms < SERVER_LATENCY_FLOOR_MS {
-                continue;
-            }
-            if fresh_ms > base_ms * (1.0 + threshold) {
-                out.push(Regression {
-                    cell: cell.clone(),
-                    stage: stage.into(),
-                    base: base_ms,
-                    fresh: fresh_ms,
-                });
-            }
-        }
-    }
-    if fresh.overhead_p99_pct > OBS_MAX_OVERHEAD_PCT {
-        out.push(Regression {
-            cell: "obs/overhead".into(),
-            stage: "overhead_p99_pct".into(),
-            base: OBS_MAX_OVERHEAD_PCT,
-            fresh: fresh.overhead_p99_pct,
-        });
-    }
-    out
-}
-
-/// Render an obs doc back into a gate-readable document (`--scale`'s
-/// synthetically degraded copy for the negative CI test).
-pub fn render_obs_doc(doc: &ObsDoc) -> String {
-    let mut out = String::from("{\n  \"experiment\": \"obs_gate_scaled\",\n  \"configs\": [\n");
-    for (i, r) in doc.configs.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"p50_ms\": {:.3}, \"p99_ms\": {:.3}}}{}\n",
-            r.config,
-            r.p50_ms,
-            r.p99_ms,
-            if i + 1 < doc.configs.len() { "," } else { "" }
-        ));
-    }
-    out.push_str(&format!(
-        "  ],\n  \"overhead_p99_pct\": {:.3}\n}}\n",
-        doc.overhead_p99_pct
-    ));
-    out
-}
-
-/// Degrade an obs doc by `factor`: the recorder-on latencies are
-/// multiplied (modelling a recorder that got expensive) and the overhead
-/// recomputed from the scaled cells, so the negative test trips both the
-/// relative latency gate and the absolute overhead ceiling.
-pub fn scale_obs(doc: &ObsDoc, factor: f64) -> ObsDoc {
-    let configs: Vec<ServerRun> = doc
-        .configs
-        .iter()
-        .map(|r| {
-            if r.config == "recorder_on" {
-                ServerRun {
-                    config: r.config.clone(),
-                    p50_ms: r.p50_ms * factor,
-                    p99_ms: r.p99_ms * factor,
-                }
-            } else {
-                r.clone()
-            }
-        })
-        .collect();
-    let off = configs.iter().find(|r| r.config == "recorder_off");
-    let on = configs.iter().find(|r| r.config == "recorder_on");
-    let overhead = match (off, on) {
-        (Some(off), Some(on)) if off.p99_ms > 0.0 => {
-            (on.p99_ms - off.p99_ms) / off.p99_ms * 100.0
-        }
-        _ => doc.overhead_p99_pct * factor,
-    };
-    ObsDoc {
-        configs,
-        overhead_p99_pct: overhead,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Chaos-gate extraction and comparison (BENCH_chaos.json)
-// ---------------------------------------------------------------------------
-
-/// The gateable content of one `BENCH_chaos.json` (experiment E15, the
-/// network-chaos soak): the exactly-once integrity counters plus the
-/// end-to-end insert latency measured through the fault proxy.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChaosDoc {
-    /// Insert batches the retrying clients saw acknowledged.
-    pub acked: u64,
-    /// Acked batches missing from the final table scan. Integrity cell:
-    /// gated at absolute zero, never relative to a baseline.
-    pub lost: u64,
-    /// Batches applied more than once. Integrity cell: absolute zero.
-    pub duplicates: u64,
-    /// Drain/restart cycles the soak drove (coverage, not performance).
-    pub drain_cycles: u64,
-    /// End-to-end per-insert latency through the chaos proxy, in ms —
-    /// includes reconnects, backoff sleeps, and idempotent replays.
-    pub p50_ms: f64,
-    /// p99 of the same distribution (the retry tail).
-    pub p99_ms: f64,
-}
-
-/// Pull one non-negative integer cell out of a chaos document.
-fn chaos_count(doc: &Json, field: &str) -> Result<u64, GateError> {
-    let v = doc
-        .get(field)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| GateError::Shape(format!("document has no \"{field}\"")))?;
-    Ok(check_measurement("chaos/soak", field, v)? as u64)
-}
-
-/// Pull the gateable cells out of a parsed `BENCH_chaos.json`. Counters
-/// must be present and non-negative; latencies get the usual screening.
-pub fn extract_chaos_doc(doc: &Json) -> Result<ChaosDoc, GateError> {
-    let cell = "chaos/insert";
-    let p50 = doc
-        .get("p50_ms")
-        .and_then(Json::as_f64)
-        .ok_or_else(|| GateError::Shape("document has no \"p50_ms\"".into()))?;
-    let p99 = doc
-        .get("p99_ms")
-        .and_then(Json::as_f64)
-        .ok_or_else(|| GateError::Shape("document has no \"p99_ms\"".into()))?;
-    Ok(ChaosDoc {
-        acked: chaos_count(doc, "acked")?,
-        lost: chaos_count(doc, "lost")?,
-        duplicates: chaos_count(doc, "duplicates")?,
-        drain_cycles: chaos_count(doc, "drain_cycles")?,
-        p50_ms: check_measurement(cell, "p50_ms", p50)?,
-        p99_ms: check_measurement(cell, "p99_ms", p99)?,
-    })
-}
-
-/// Compare fresh chaos-soak numbers against the baseline. The integrity
-/// cells (`lost`, `duplicates`) are gated at **absolute zero**: any loss
-/// or duplication fails regardless of what the baseline measured — a
-/// correctness bug in the baseline must not grandfather one in fresh
-/// code. Coverage must not shrink (a soak that acked nothing or drained
-/// fewer cycles proved nothing), and the insert latency percentiles get
-/// the usual relative gate above the measurement floor.
-pub fn compare_chaos(base: &ChaosDoc, fresh: &ChaosDoc, threshold: f64) -> Vec<Regression> {
-    let mut out = Vec::new();
-    if fresh.lost > 0 {
-        out.push(Regression {
-            cell: "chaos/integrity".into(),
-            stage: "lost_acked_inserts".into(),
-            base: 0.0,
-            fresh: fresh.lost as f64,
-        });
-    }
-    if fresh.duplicates > 0 {
-        out.push(Regression {
-            cell: "chaos/integrity".into(),
-            stage: "duplicate_inserts".into(),
-            base: 0.0,
-            fresh: fresh.duplicates as f64,
-        });
-    }
-    if fresh.acked == 0 {
-        out.push(Regression {
-            cell: "chaos/coverage".into(),
-            stage: "acked_inserts".into(),
-            base: base.acked as f64,
-            fresh: 0.0,
-        });
-    }
-    if fresh.drain_cycles < base.drain_cycles {
-        out.push(Regression {
-            cell: "chaos/coverage".into(),
-            stage: "drain_cycles".into(),
-            base: base.drain_cycles as f64,
-            fresh: fresh.drain_cycles as f64,
-        });
-    }
-    for (stage, base_ms, fresh_ms) in [
-        ("p50_ms", base.p50_ms, fresh.p50_ms),
-        ("p99_ms", base.p99_ms, fresh.p99_ms),
-    ] {
-        if base_ms < SERVER_LATENCY_FLOOR_MS {
-            continue;
-        }
-        if fresh_ms > base_ms * (1.0 + threshold) {
-            out.push(Regression {
-                cell: "chaos/insert".into(),
-                stage: stage.into(),
-                base: base_ms,
-                fresh: fresh_ms,
-            });
-        }
-    }
-    out
-}
-
-/// Render a chaos doc back into a gate-readable document (`--scale`'s
-/// synthetically degraded copy for the negative CI test).
-pub fn render_chaos_doc(doc: &ChaosDoc) -> String {
-    format!(
-        "{{\n  \"experiment\": \"chaos_gate_scaled\",\n  \"acked\": {},\n  \
-         \"lost\": {},\n  \"duplicates\": {},\n  \"drain_cycles\": {},\n  \
-         \"p50_ms\": {:.3},\n  \"p99_ms\": {:.3}\n}}\n",
-        doc.acked, doc.lost, doc.duplicates, doc.drain_cycles, doc.p50_ms, doc.p99_ms
-    )
-}
-
-/// Degrade a chaos doc by `factor`: latencies are multiplied, and —
-/// because the integrity cells are gated absolutely at zero — a
-/// synthetic lost *and* duplicated insert are injected, so the negative
-/// CI test proves both the relative latency gate and the absolute
-/// integrity gate trip.
-pub fn scale_chaos(doc: &ChaosDoc, factor: f64) -> ChaosDoc {
-    ChaosDoc {
-        lost: doc.lost.max(1),
-        duplicates: doc.duplicates.max(1),
-        p50_ms: doc.p50_ms * factor,
-        p99_ms: doc.p99_ms * factor,
-        ..*doc
-    }
-}
-
-/// Multiply every stage timing by `factor` (the synthetic-slowdown knob).
-pub fn scale_times(runs: &[BenchRun], factor: f64) -> Vec<BenchRun> {
-    runs.iter()
-        .map(|r| BenchRun {
-            stages: r.stages.iter().map(|(s, v)| (s.clone(), v * factor)).collect(),
-            ..r.clone()
-        })
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// One cell of every bound kind and direction, plus a sub-floor time.
     const SAMPLE: &str = r#"{
-      "experiment": "e9_parallel_query",
-      "points": 1000,
-      "queries": [
-        {"name": "q1", "rows": 10, "runs": [
-          {"mode": "serial", "workers": 1, "t_imprints": 0.008, "t_bbox": 0.126, "t_refine": 0.0000021, "t_total": 0.134, "bbox_speedup_vs_serial": 1.0},
-          {"mode": "threads", "workers": 4, "t_imprints": 0.008, "t_bbox": 0.132, "t_refine": 0.0000015, "t_total": 0.140, "bbox_speedup_vs_serial": 0.95}
-        ]}
+      "experiment": "sample",
+      "host": {"cpus": 2},
+      "params": {"points": 1000, "q1.rows": 10},
+      "cells": [
+        {"key": "q1/threads/1", "metric": "t_bbox", "value": 0.126, "unit": "s", "better": "lower", "bound": {"rel": 0.25}},
+        {"key": "q1/threads/1", "metric": "t_refine", "value": 0.0000021, "unit": "s", "better": "lower", "bound": {"rel": 0.25}},
+        {"key": "governed", "metric": "p99_ms", "value": 110.0, "unit": "ms", "better": "lower", "bound": {"rel": 0.25}},
+        {"key": "governed", "metric": "p50_ms", "value": 0.5, "unit": "ms", "better": "lower", "bound": {"rel": 0.25}},
+        {"key": "none", "metric": "points_per_sec", "value": 1500000, "unit": "1/s", "better": "higher", "bound": {"rel": 0.25}},
+        {"key": "recorder_on", "metric": "overhead_p99_pct", "value": -2.7, "unit": "%", "better": "lower", "bound": {"abs_max": 5}},
+        {"key": "integrity", "metric": "lost", "value": 0, "unit": "count", "better": "lower", "bound": {"abs_max": 0}},
+        {"key": "coverage", "metric": "acked", "value": 96, "unit": "count", "better": "higher", "bound": {"abs_min": 1}},
+        {"key": "coverage", "metric": "drain_cycles", "value": 3, "unit": "count", "better": "higher", "bound": {"rel": 0}}
       ]
     }"#;
 
-    #[test]
-    fn parses_and_extracts_runs() {
-        let doc = Json::parse(SAMPLE).unwrap();
-        let runs = extract_runs(&doc).unwrap();
-        assert_eq!(runs.len(), 2);
-        assert_eq!(runs[0].key(), ("q1".into(), "serial".into(), 1));
-        assert_eq!(runs[1].key(), ("q1".into(), "threads".into(), 4));
-        assert_eq!(runs[0].stages.len(), 4, "all four stages captured");
-        assert!((runs[0].stages[1].1 - 0.126).abs() < 1e-12);
+    fn sample() -> Doc {
+        Doc::parse(SAMPLE).unwrap()
+    }
+
+    fn with_value(doc: &Doc, key: &str, metric: &str, value: f64) -> Doc {
+        let mut d = doc.clone();
+        let c = d
+            .cells
+            .iter_mut()
+            .find(|c| c.key == key && c.metric == metric)
+            .unwrap();
+        c.value = value;
+        d
+    }
+
+    fn flagged(regs: &[Regression]) -> Vec<(String, String)> {
+        regs.iter()
+            .map(|r| match r {
+                Regression::Missing { key, metric }
+                | Regression::Unexpected { key, metric }
+                | Regression::Exceeded { key, metric, .. } => (key.clone(), metric.clone()),
+            })
+            .collect()
     }
 
     #[test]
-    fn parses_the_committed_baseline() {
-        // The gate must always be able to read the real artifact.
-        let text = std::fs::read_to_string(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_query.json"
-        ))
-        .expect("committed baseline exists");
-        let runs = extract_runs(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(runs.len(), 8, "2 queries x 4 worker counts");
+    fn parses_a_document() {
+        let doc = sample();
+        assert_eq!(doc.experiment, "sample");
+        assert_eq!(doc.cpus, 2);
+        assert_eq!(doc.params.len(), 2);
+        assert_eq!(doc.cells.len(), 9);
+        assert_eq!(doc.cells[0].id(), ("q1/threads/1", "t_bbox"));
+        assert!((doc.cells[0].value - 0.126).abs() < 1e-12);
+        assert_eq!(doc.cells[4].better, Better::Higher);
+        assert_eq!(doc.cells[5].bound, Bound::AbsMax(5.0));
+        assert_eq!(doc.cells[7].bound, Bound::AbsMin(1.0));
     }
 
     #[test]
-    fn identical_runs_pass() {
-        let runs = extract_runs(&Json::parse(SAMPLE).unwrap()).unwrap();
-        assert!(compare(&runs, &runs, REGRESSION_THRESHOLD).is_empty());
+    fn identical_documents_pass() {
+        assert_eq!(compare(&sample(), &sample()), Ok(vec![]));
     }
 
     #[test]
-    fn two_x_slowdown_fails() {
-        let runs = extract_runs(&Json::parse(SAMPLE).unwrap()).unwrap();
-        let slowed = scale_times(&runs, 2.0);
-        let regs = compare(&runs, &slowed, REGRESSION_THRESHOLD);
-        assert!(!regs.is_empty());
-        // Sub-floor stages (t_refine at ~2µs) are not flagged even at 2x.
-        assert!(regs.iter().all(|r| r.stage != "t_refine"), "{regs:?}");
-        assert!(regs.iter().any(|r| r.stage == "t_bbox"));
-        assert!(regs[0].describe().contains("+100%"), "{}", regs[0].describe());
+    fn rel_bounds_hold_in_the_better_direction() {
+        let doc = sample();
+        // Lower-is-better: +20% passes, +30% fails, and a speedup passes.
+        let ok = with_value(&doc, "q1/threads/1", "t_bbox", 0.126 * 1.2);
+        assert_eq!(compare(&doc, &ok), Ok(vec![]));
+        let fast = with_value(&doc, "q1/threads/1", "t_bbox", 0.01);
+        assert_eq!(compare(&doc, &fast), Ok(vec![]));
+        let slow = with_value(&doc, "q1/threads/1", "t_bbox", 0.126 * 1.3);
+        let regs = compare(&doc, &slow).unwrap();
+        assert_eq!(flagged(&regs), [("q1/threads/1".into(), "t_bbox".into())]);
+        assert!(regs[0].to_string().contains("+30%"), "{}", regs[0]);
+        // Higher-is-better: a 20% throughput drop passes, 30% fails, and
+        // a throughput gain passes.
+        let ok = with_value(&doc, "none", "points_per_sec", 1_200_000.0);
+        assert_eq!(compare(&doc, &ok), Ok(vec![]));
+        let up = with_value(&doc, "none", "points_per_sec", 9e6);
+        assert_eq!(compare(&doc, &up), Ok(vec![]));
+        let drop = with_value(&doc, "none", "points_per_sec", 1_000_000.0);
+        let regs = compare(&doc, &drop).unwrap();
+        assert_eq!(flagged(&regs), [("none".into(), "points_per_sec".into())]);
+        assert!(regs[0].to_string().contains("-33%"), "{}", regs[0]);
+        // rel 0, higher is better: any shrink fails.
+        let fewer = with_value(&doc, "coverage", "drain_cycles", 2.0);
+        assert_eq!(
+            flagged(&compare(&doc, &fewer).unwrap()),
+            [("coverage".into(), "drain_cycles".into())]
+        );
     }
 
     #[test]
-    fn small_jitter_passes_but_large_does_not() {
-        let runs = extract_runs(&Json::parse(SAMPLE).unwrap()).unwrap();
-        assert!(compare(&runs, &scale_times(&runs, 1.2), REGRESSION_THRESHOLD).is_empty());
-        assert!(!compare(&runs, &scale_times(&runs, 1.3), REGRESSION_THRESHOLD).is_empty());
+    fn time_cells_under_one_millisecond_are_not_gated() {
+        let doc = sample();
+        // 2 µs in seconds and 0.5 ms in milliseconds: both under the floor.
+        let slow = with_value(&doc, "q1/threads/1", "t_refine", 1.0);
+        let slow = with_value(&slow, "governed", "p50_ms", 900.0);
+        assert_eq!(compare(&doc, &slow), Ok(vec![]));
+        // Over the floor, the same slowdown is flagged.
+        let base = with_value(&doc, "governed", "p50_ms", 1.0);
+        assert_eq!(
+            flagged(&compare(&base, &slow).unwrap()),
+            [("governed".into(), "p50_ms".into())]
+        );
+    }
+
+    #[test]
+    fn absolute_bounds_ignore_the_baseline() {
+        let doc = sample();
+        let broken = with_value(&doc, "integrity", "lost", 1.0);
+        let broken = with_value(&broken, "coverage", "acked", 0.0);
+        let broken = with_value(&broken, "recorder_on", "overhead_p99_pct", 5.5);
+        let expect = [
+            ("recorder_on".to_string(), "overhead_p99_pct".to_string()),
+            ("integrity".into(), "lost".into()),
+            ("coverage".into(), "acked".into()),
+        ];
+        assert_eq!(flagged(&compare(&doc, &broken).unwrap()), expect);
+        // A broken baseline does not grandfather a broken fresh run.
+        assert_eq!(flagged(&compare(&broken, &broken).unwrap()), expect);
+        // An overhead under the ceiling passes even if it doubled.
+        let doubled = with_value(&doc, "recorder_on", "overhead_p99_pct", 4.9);
+        let base = with_value(&doc, "recorder_on", "overhead_p99_pct", 2.0);
+        assert_eq!(compare(&base, &doubled), Ok(vec![]));
     }
 
     #[test]
     fn missing_cell_is_a_regression() {
-        let runs = extract_runs(&Json::parse(SAMPLE).unwrap()).unwrap();
-        let fresh = vec![runs[0].clone()];
-        let regs = compare(&runs, &fresh, REGRESSION_THRESHOLD);
-        assert_eq!(regs.len(), 1);
-        assert_eq!(regs[0].stage, "<missing>");
-        assert!(regs[0].describe().contains("missing"));
+        let doc = sample();
+        let mut fresh = doc.clone();
+        fresh.cells.remove(2);
+        let regs = compare(&doc, &fresh).unwrap();
+        assert_eq!(
+            regs,
+            [Regression::Missing {
+                key: "governed".into(),
+                metric: "p99_ms".into()
+            }]
+        );
+        assert!(regs[0].to_string().contains("missing"));
+    }
+
+    #[test]
+    fn fresh_extra_cell_is_a_regression() {
+        let fresh = sample();
+        let mut base = fresh.clone();
+        base.cells.remove(4);
+        let regs = compare(&base, &fresh).unwrap();
+        assert_eq!(
+            regs,
+            [Regression::Unexpected {
+                key: "none".into(),
+                metric: "points_per_sec".into()
+            }]
+        );
+        assert!(regs[0].to_string().contains("no baseline"));
+    }
+
+    #[test]
+    fn cross_host_pair_is_a_typed_error() {
+        let base = sample();
+        let mut fresh = degrade(&base, 2.0);
+        fresh.cpus = 1;
+        assert_eq!(
+            compare(&base, &fresh),
+            Err(GateError::HostMismatch { base: 2, fresh: 1 })
+        );
+    }
+
+    #[test]
+    fn fresh_bound_differing_from_baseline_is_a_typed_error() {
+        let base = sample();
+        let mut fresh = base.clone();
+        fresh.cells[0].bound = Bound::Rel(10.0);
+        let err = compare(&base, &fresh).unwrap_err();
+        assert_eq!(
+            err,
+            GateError::BoundMismatch {
+                cell: "q1/threads/1 t_bbox".into(),
+                base: Bound::Rel(0.25),
+                fresh: Bound::Rel(10.0),
+            }
+        );
+        assert!(err.to_string().contains("claims bound rel 10"), "{err}");
+        // The direction and unit are read from the baseline too: a fresh
+        // cell flipping "better" cannot turn a slowdown into a pass.
+        let mut flipped = degrade(&base, 2.0);
+        flipped.cells[0].better = Better::Higher;
+        let regs = compare(&base, &flipped).unwrap();
+        assert!(
+            flagged(&regs).contains(&("q1/threads/1".into(), "t_bbox".into())),
+            "{regs:?}"
+        );
+    }
+
+    #[test]
+    fn baseline_without_cells_cannot_gate() {
+        let mut empty = sample();
+        empty.cells.clear();
+        assert!(matches!(
+            compare(&empty, &sample()),
+            Err(GateError::Shape(m)) if m.contains("no cells")
+        ));
     }
 
     #[test]
     fn negative_p50_in_baseline_is_a_typed_error() {
-        let doc = Json::parse(&SAMPLE.replace("0.126", "-0.126")).unwrap();
-        let err = extract_runs(&doc).unwrap_err();
+        let err = Doc::parse(&SAMPLE.replace("0.126", "-0.126")).unwrap_err();
         assert_eq!(
             err,
             GateError::InvalidMeasurement {
-                cell: "q1/serial/1".into(),
+                cell: "q1/threads/1".into(),
                 field: "t_bbox".into(),
                 value: -0.126,
             }
         );
         assert!(err.to_string().contains("not a valid measurement"));
+        // Only a percentage may be negative.
+        assert_eq!(sample().cells[5].value, -2.7);
+        assert!(matches!(
+            Doc::parse(&SAMPLE.replace("\"value\": 0,", "\"value\": -1,")),
+            Err(GateError::InvalidMeasurement { field, .. }) if field == "lost"
+        ));
     }
 
     #[test]
     fn nan_and_infinite_p50s_are_typed_errors() {
-        // A harness bug writing `{:.6}` of NaN produces a bare `NaN`
-        // token, which the JSON parser already rejects outright.
-        assert!(Json::parse(&SAMPLE.replace("0.126", "NaN")).is_err());
-        // Overflowed exponents *do* parse (to +inf) and must be caught.
-        let doc = Json::parse(&SAMPLE.replace("0.126", "1e999")).unwrap();
-        match extract_runs(&doc).unwrap_err() {
+        // A harness rendering NaN writes a bare `NaN` token, which the
+        // JSON parser rejects outright.
+        assert!(Doc::parse(&SAMPLE.replace("0.126", "NaN")).is_err());
+        // Overflowed exponents do parse (to +inf) and must be caught.
+        match Doc::parse(&SAMPLE.replace("0.126", "1e999")).unwrap_err() {
             GateError::InvalidMeasurement { cell, field, value } => {
-                assert_eq!((cell.as_str(), field.as_str()), ("q1/serial/1", "t_bbox"));
+                assert_eq!((cell.as_str(), field.as_str()), ("q1/threads/1", "t_bbox"));
                 assert!(value.is_infinite());
             }
             other => panic!("expected InvalidMeasurement, got {other:?}"),
         }
-        // A hand-built document carrying a literal NaN is also rejected.
-        let doc = Json::Obj(vec![(
-            "queries".into(),
-            Json::Arr(vec![Json::Obj(vec![
-                ("name".into(), Json::Str("q1".into())),
-                (
-                    "runs".into(),
-                    Json::Arr(vec![Json::Obj(vec![
-                        ("mode".into(), Json::Str("serial".into())),
-                        ("workers".into(), Json::Num(1.0)),
-                        ("t_total".into(), Json::Num(f64::NAN)),
-                    ])]),
-                ),
-            ])]),
-        )]);
-        assert!(matches!(
-            extract_runs(&doc).unwrap_err(),
-            GateError::InvalidMeasurement { .. }
-        ));
-    }
-
-    #[test]
-    fn fresh_extra_cell_is_a_regression() {
-        let runs = extract_runs(&Json::parse(SAMPLE).unwrap()).unwrap();
-        let base = vec![runs[0].clone()];
-        let regs = compare(&base, &runs, REGRESSION_THRESHOLD);
-        assert_eq!(regs.len(), 1, "{regs:?}");
-        assert_eq!(regs[0].stage, "<unexpected>");
-        assert_eq!(regs[0].cell, "q1/threads/4");
-        assert!(regs[0].describe().contains("no baseline"));
-    }
-
-    #[test]
-    fn ingest_invalid_measurements_are_typed_errors() {
-        let doc = Json::parse(&INGEST_SAMPLE.replace("1500000", "-1")).unwrap();
-        assert_eq!(
-            extract_ingest_runs(&doc).unwrap_err(),
-            GateError::InvalidMeasurement {
-                cell: "ingest/none".into(),
-                field: "points_per_sec".into(),
-                value: -1.0,
-            }
-        );
-        let doc = Json::parse(&INGEST_SAMPLE.replace("0.095", "1e999")).unwrap();
-        assert!(matches!(
-            extract_ingest_runs(&doc).unwrap_err(),
-            GateError::InvalidMeasurement { field, .. } if field == "recovery_seconds"
-        ));
-    }
-
-    #[test]
-    fn ingest_fresh_extra_policy_is_a_regression() {
-        let runs = extract_ingest_runs(&Json::parse(INGEST_SAMPLE).unwrap()).unwrap();
-        let base = runs[..2].to_vec();
-        let regs = compare_ingest(&base, &runs, REGRESSION_THRESHOLD);
-        assert_eq!(regs.len(), 1, "{regs:?}");
-        assert_eq!(regs[0].stage, "<unexpected>");
-        assert_eq!(regs[0].cell, "ingest/always");
-    }
-
-    #[test]
-    fn scaled_render_round_trips_through_the_gate() {
-        let runs = extract_runs(&Json::parse(SAMPLE).unwrap()).unwrap();
-        let rendered = render_runs(&scale_times(&runs, 2.0));
-        let reparsed = extract_runs(&Json::parse(&rendered).unwrap()).unwrap();
-        assert_eq!(reparsed.len(), runs.len());
-        assert!(!compare(&runs, &reparsed, REGRESSION_THRESHOLD).is_empty());
-        assert!(compare(&reparsed, &reparsed, REGRESSION_THRESHOLD).is_empty());
-    }
-
-    const INGEST_SAMPLE: &str = r#"{
-      "experiment": "e12_streaming_ingest",
-      "points": 120000,
-      "policies": [
-        {"durability": "none", "points_per_sec": 1500000, "recovery_seconds": 0.090},
-        {"durability": "group_commit", "points_per_sec": 1200000, "recovery_seconds": 0.095},
-        {"durability": "always", "points_per_sec": 400000, "recovery_seconds": 0.0004}
-      ]
-    }"#;
-
-    #[test]
-    fn ingest_runs_extract_and_identical_passes() {
-        let runs = extract_ingest_runs(&Json::parse(INGEST_SAMPLE).unwrap()).unwrap();
-        assert_eq!(runs.len(), 3);
-        assert_eq!(runs[0].policy, "none");
-        assert!((runs[1].points_per_sec - 1_200_000.0).abs() < 1e-6);
-        assert!(compare_ingest(&runs, &runs, REGRESSION_THRESHOLD).is_empty());
-    }
-
-    #[test]
-    fn ingest_throughput_drop_and_recovery_slowdown_fail() {
-        let runs = extract_ingest_runs(&Json::parse(INGEST_SAMPLE).unwrap()).unwrap();
-        let degraded = scale_ingest(&runs, 2.0);
-        let regs = compare_ingest(&runs, &degraded, REGRESSION_THRESHOLD);
-        // Every policy loses half its throughput; the two policies with
-        // gateable recovery times also slow down. The sub-floor recovery
-        // (0.4ms under "always") is not flagged.
-        assert_eq!(
-            regs.iter().filter(|r| r.stage == "points_per_sec").count(),
-            3,
-            "{regs:?}"
-        );
-        assert_eq!(
-            regs.iter().filter(|r| r.stage == "recovery_seconds").count(),
-            2,
-            "{regs:?}"
-        );
-        assert!(regs
-            .iter()
-            .any(|r| r.describe().contains("-50%")), "{regs:?}");
-        // Small jitter passes.
-        assert!(compare_ingest(&runs, &scale_ingest(&runs, 1.2), REGRESSION_THRESHOLD).is_empty());
-    }
-
-    #[test]
-    fn ingest_missing_policy_is_a_regression() {
-        let runs = extract_ingest_runs(&Json::parse(INGEST_SAMPLE).unwrap()).unwrap();
-        let fresh = runs[..2].to_vec();
-        let regs = compare_ingest(&runs, &fresh, REGRESSION_THRESHOLD);
-        assert_eq!(regs.len(), 1);
-        assert_eq!(regs[0].stage, "<missing>");
-        assert_eq!(regs[0].cell, "ingest/always");
-    }
-
-    #[test]
-    fn ingest_render_round_trips_through_the_gate() {
-        let runs = extract_ingest_runs(&Json::parse(INGEST_SAMPLE).unwrap()).unwrap();
-        let rendered = render_ingest_runs(&scale_ingest(&runs, 2.0));
-        let reparsed = extract_ingest_runs(&Json::parse(&rendered).unwrap()).unwrap();
-        assert_eq!(reparsed.len(), runs.len());
-        assert!(!compare_ingest(&runs, &reparsed, REGRESSION_THRESHOLD).is_empty());
-        assert!(compare_ingest(&reparsed, &reparsed, REGRESSION_THRESHOLD).is_empty());
-    }
-
-    #[test]
-    fn parses_the_committed_ingest_baseline() {
-        // The gate must always be able to read the real artifact.
-        let text = std::fs::read_to_string(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_ingest.json"
-        ))
-        .expect("committed ingest baseline exists");
-        let runs = extract_ingest_runs(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(runs.len(), 3, "three durability policies");
-        assert!(runs.iter().all(|r| r.points_per_sec > 0.0));
-    }
-
-    const SERVER_SAMPLE: &str = r#"{
-      "experiment": "e11_server",
-      "points": 4000000,
-      "clients": 256,
-      "configs": [
-        {"name": "ungoverned", "ok": 512, "cancelled": 0, "overloaded": 0, "p50_ms": 120.0, "p99_ms": 400.0, "max_ms": 450.0},
-        {"name": "governed", "ok": 40, "cancelled": 300, "overloaded": 172, "p50_ms": 30.0, "p99_ms": 110.0, "max_ms": 130.0}
-      ],
-      "stream": {"rows": 4000000, "batches": 977, "seconds": 2.5, "rows_per_sec": 1600000, "rss_delta_kb": 1024}
-    }"#;
-
-    #[test]
-    fn server_doc_extracts_and_identical_passes() {
-        let doc = extract_server_doc(&Json::parse(SERVER_SAMPLE).unwrap()).unwrap();
-        assert_eq!(doc.configs.len(), 2);
-        assert_eq!(doc.configs[0].config, "ungoverned");
-        assert!((doc.configs[1].p99_ms - 110.0).abs() < 1e-9);
-        assert!((doc.stream_rows_per_sec - 1_600_000.0).abs() < 1e-6);
-        assert!(compare_server(&doc, &doc, REGRESSION_THRESHOLD).is_empty());
-    }
-
-    #[test]
-    fn server_latency_and_throughput_degradations_fail() {
-        let doc = extract_server_doc(&Json::parse(SERVER_SAMPLE).unwrap()).unwrap();
-        let degraded = scale_server(&doc, 2.0);
-        let regs = compare_server(&doc, &degraded, REGRESSION_THRESHOLD);
-        // Both configs regress on both percentiles, and the stream slows.
-        assert_eq!(
-            regs.iter().filter(|r| r.stage == "p50_ms" || r.stage == "p99_ms").count(),
-            4,
-            "{regs:?}"
-        );
-        assert!(
-            regs.iter().any(|r| r.cell == "server/stream" && r.stage == "rows_per_sec"),
-            "{regs:?}"
-        );
-        // Small jitter passes.
-        assert!(compare_server(&doc, &scale_server(&doc, 1.2), REGRESSION_THRESHOLD).is_empty());
-    }
-
-    #[test]
-    fn server_missing_and_extra_configs_are_regressions() {
-        let doc = extract_server_doc(&Json::parse(SERVER_SAMPLE).unwrap()).unwrap();
-        let mut fresh = doc.clone();
-        fresh.configs.remove(1);
-        let regs = compare_server(&doc, &fresh, REGRESSION_THRESHOLD);
-        assert_eq!(regs.len(), 1);
-        assert_eq!(regs[0].stage, "<missing>");
-        assert_eq!(regs[0].cell, "server/governed");
-        let regs = compare_server(&fresh, &doc, REGRESSION_THRESHOLD);
-        assert_eq!(regs.len(), 1, "{regs:?}");
-        assert_eq!(regs[0].stage, "<unexpected>");
-    }
-
-    #[test]
-    fn server_invalid_measurements_are_typed_errors() {
-        let doc = Json::parse(&SERVER_SAMPLE.replace("110.0", "-110.0")).unwrap();
-        assert_eq!(
-            extract_server_doc(&doc).unwrap_err(),
-            GateError::InvalidMeasurement {
-                cell: "server/governed".into(),
-                field: "p99_ms".into(),
-                value: -110.0,
-            }
-        );
-        let doc = Json::parse(&SERVER_SAMPLE.replace("1600000", "1e999")).unwrap();
-        assert!(matches!(
-            extract_server_doc(&doc).unwrap_err(),
-            GateError::InvalidMeasurement { field, .. } if field == "rows_per_sec"
-        ));
-    }
-
-    #[test]
-    fn server_render_round_trips_through_the_gate() {
-        let doc = extract_server_doc(&Json::parse(SERVER_SAMPLE).unwrap()).unwrap();
-        let rendered = render_server_doc(&scale_server(&doc, 2.0));
-        let reparsed = extract_server_doc(&Json::parse(&rendered).unwrap()).unwrap();
-        assert!(!compare_server(&doc, &reparsed, REGRESSION_THRESHOLD).is_empty());
-        assert!(compare_server(&reparsed, &reparsed, REGRESSION_THRESHOLD).is_empty());
-    }
-
-    #[test]
-    fn parses_the_committed_server_baseline() {
-        // The gate must always be able to read the real artifact.
-        let text = std::fs::read_to_string(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_server.json"
-        ))
-        .expect("committed server baseline exists");
-        let doc = extract_server_doc(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(doc.configs.len(), 2, "ungoverned + governed configs");
-        assert!(doc.stream_rows_per_sec > 0.0);
-    }
-
-    const OBS_SAMPLE: &str = r#"{
-      "experiment": "e14_observability",
-      "points": 4000000,
-      "clients": 256,
-      "configs": [
-        {"name": "recorder_off", "ok": 40, "cancelled": 300, "overloaded": 172, "p50_ms": 30.0, "p99_ms": 110.0, "max_ms": 130.0},
-        {"name": "recorder_on", "ok": 41, "cancelled": 299, "overloaded": 172, "p50_ms": 30.5, "p99_ms": 112.0, "max_ms": 131.0}
-      ],
-      "scrapes": 40,
-      "overhead_p99_pct": 1.82
-    }"#;
-
-    #[test]
-    fn obs_doc_extracts_and_identical_passes() {
-        let doc = extract_obs_doc(&Json::parse(OBS_SAMPLE).unwrap()).unwrap();
-        assert_eq!(doc.configs.len(), 2);
-        assert_eq!(doc.configs[0].config, "recorder_off");
-        assert!((doc.configs[1].p99_ms - 112.0).abs() < 1e-9);
-        assert!((doc.overhead_p99_pct - 1.82).abs() < 1e-9);
-        assert!(compare_obs(&doc, &doc, REGRESSION_THRESHOLD).is_empty());
-    }
-
-    #[test]
-    fn obs_recorder_slowdown_trips_latency_and_overhead() {
-        let doc = extract_obs_doc(&Json::parse(OBS_SAMPLE).unwrap()).unwrap();
-        let degraded = scale_obs(&doc, 2.0);
-        // recorder_off untouched, recorder_on doubled → overhead ≈ 104%.
-        assert!((degraded.configs[0].p99_ms - 110.0).abs() < 1e-9);
-        assert!(degraded.overhead_p99_pct > OBS_MAX_OVERHEAD_PCT);
-        let regs = compare_obs(&doc, &degraded, REGRESSION_THRESHOLD);
-        assert_eq!(
-            regs.iter()
-                .filter(|r| r.cell == "obs/recorder_on")
-                .count(),
-            2,
-            "{regs:?}"
-        );
-        assert!(
-            regs.iter()
-                .any(|r| r.cell == "obs/overhead" && r.stage == "overhead_p99_pct"),
-            "{regs:?}"
-        );
-        // The overhead ceiling is absolute: even against a degraded
-        // baseline, a >5% fresh overhead fails.
-        let regs = compare_obs(&degraded, &degraded, REGRESSION_THRESHOLD);
-        assert_eq!(regs.len(), 1, "{regs:?}");
-        assert_eq!(regs[0].cell, "obs/overhead");
-    }
-
-    #[test]
-    fn obs_missing_config_and_bad_measurements_are_caught() {
-        let doc = extract_obs_doc(&Json::parse(OBS_SAMPLE).unwrap()).unwrap();
-        let mut fresh = doc.clone();
-        fresh.configs.remove(1);
-        let regs = compare_obs(&doc, &fresh, REGRESSION_THRESHOLD);
-        assert_eq!(regs.len(), 1);
-        assert_eq!(regs[0].stage, "<missing>");
-        assert_eq!(regs[0].cell, "obs/recorder_on");
-        let bad = Json::parse(&OBS_SAMPLE.replace("112.0", "-112.0")).unwrap();
-        assert_eq!(
-            extract_obs_doc(&bad).unwrap_err(),
-            GateError::InvalidMeasurement {
-                cell: "obs/recorder_on".into(),
-                field: "p99_ms".into(),
-                value: -112.0,
-            }
-        );
-        let bad = Json::parse(&OBS_SAMPLE.replace("\"overhead_p99_pct\": 1.82", "\"x\": 0")).unwrap();
-        assert!(matches!(extract_obs_doc(&bad).unwrap_err(), GateError::Shape(_)));
-    }
-
-    #[test]
-    fn obs_render_round_trips_through_the_gate() {
-        let doc = extract_obs_doc(&Json::parse(OBS_SAMPLE).unwrap()).unwrap();
-        let rendered = render_obs_doc(&scale_obs(&doc, 2.0));
-        let reparsed = extract_obs_doc(&Json::parse(&rendered).unwrap()).unwrap();
-        assert!(!compare_obs(&doc, &reparsed, REGRESSION_THRESHOLD).is_empty());
-        assert!(compare_obs(&doc, &doc, REGRESSION_THRESHOLD).is_empty());
-    }
-
-    #[test]
-    fn parses_the_committed_obs_baseline() {
-        // The gate must always be able to read the real artifact.
-        let text = std::fs::read_to_string(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_obs.json"
-        ))
-        .expect("committed obs baseline exists");
-        let doc = extract_obs_doc(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(doc.configs.len(), 2, "recorder_off + recorder_on configs");
-        assert!(
-            doc.overhead_p99_pct <= OBS_MAX_OVERHEAD_PCT,
-            "committed baseline violates the overhead ceiling: {}",
-            doc.overhead_p99_pct
-        );
-    }
-
-    const CHAOS_SAMPLE: &str = r#"{
-      "experiment": "e15_chaos",
-      "clients": 4,
-      "acked": 96,
-      "lost": 0,
-      "duplicates": 0,
-      "drain_cycles": 3,
-      "retries": 17,
-      "p50_ms": 4.0,
-      "p99_ms": 180.0
-    }"#;
-
-    #[test]
-    fn chaos_doc_extracts_and_identical_passes() {
-        let doc = extract_chaos_doc(&Json::parse(CHAOS_SAMPLE).unwrap()).unwrap();
-        assert_eq!(doc.acked, 96);
-        assert_eq!((doc.lost, doc.duplicates), (0, 0));
-        assert_eq!(doc.drain_cycles, 3);
-        assert!((doc.p99_ms - 180.0).abs() < 1e-9);
-        assert!(compare_chaos(&doc, &doc, REGRESSION_THRESHOLD).is_empty());
-    }
-
-    #[test]
-    fn chaos_integrity_cells_are_absolute_zero() {
-        let doc = extract_chaos_doc(&Json::parse(CHAOS_SAMPLE).unwrap()).unwrap();
-        let degraded = scale_chaos(&doc, 2.0);
-        assert_eq!((degraded.lost, degraded.duplicates), (1, 1));
-        let regs = compare_chaos(&doc, &degraded, REGRESSION_THRESHOLD);
-        for stage in ["lost_acked_inserts", "duplicate_inserts", "p50_ms", "p99_ms"] {
-            assert!(regs.iter().any(|r| r.stage == stage), "{stage}: {regs:?}");
+        // A hand-built document carrying a literal NaN or infinity is
+        // rejected by compare itself, in a percentage cell too.
+        for bad in [f64::NAN, f64::NEG_INFINITY] {
+            let mut doc = sample();
+            doc.cells[5].value = bad;
+            assert!(matches!(
+                compare(&sample(), &doc),
+                Err(GateError::InvalidMeasurement { field, .. }) if field == "overhead_p99_pct"
+            ));
+            assert!(compare(&doc, &sample()).is_err(), "in the baseline too");
         }
-        // Absolute: even against a baseline that itself lost inserts,
-        // a fresh lost/duplicated insert fails.
-        let regs = compare_chaos(&degraded, &degraded, REGRESSION_THRESHOLD);
-        assert!(
-            regs.iter().any(|r| r.cell == "chaos/integrity"),
-            "a corrupt baseline must not grandfather data loss: {regs:?}"
-        );
+        // Bounds must be finite too.
+        assert!(matches!(
+            Doc::parse(&SAMPLE.replace("{\"abs_max\": 5}", "{\"abs_max\": 1e999}")),
+            Err(GateError::Shape(_))
+        ));
     }
 
     #[test]
-    fn chaos_coverage_must_not_shrink() {
-        let doc = extract_chaos_doc(&Json::parse(CHAOS_SAMPLE).unwrap()).unwrap();
-        let mut fresh = doc.clone();
-        fresh.drain_cycles = 2;
-        fresh.acked = 0;
-        let regs = compare_chaos(&doc, &fresh, REGRESSION_THRESHOLD);
-        assert!(regs.iter().any(|r| r.stage == "acked_inserts"), "{regs:?}");
-        assert!(regs.iter().any(|r| r.stage == "drain_cycles"), "{regs:?}");
+    fn malformed_documents_are_shape_errors() {
+        for (from, to) in [
+            ("\"host\": {\"cpus\": 2}", "\"host\": {}"),
+            ("\"host\": {\"cpus\": 2}", "\"host\": {\"cpus\": 1.5}"),
+            ("\"params\": {", "\"paramz\": {"),
+            ("\"cells\"", "\"cellz\""),
+            ("\"better\": \"higher\"", "\"better\": \"up\""),
+            ("{\"rel\": 0}", "{\"rel\": -0.1}"),
+            ("{\"abs_min\": 1}", "{\"abs_min\": 1, \"rel\": 0.25}"),
+            ("{\"abs_min\": 1}", "{\"within\": 1}"),
+            ("\"metric\": \"p50_ms\"", "\"metric\": \"p99_ms\""),
+            ("\"unit\": \"1/s\", ", ""),
+        ] {
+            assert!(SAMPLE.contains(from), "{from}");
+            let err = Doc::parse(&SAMPLE.replacen(from, to, 1)).unwrap_err();
+            assert!(matches!(err, GateError::Shape(_)), "{to}: {err:?}");
+        }
     }
 
     #[test]
-    fn chaos_bad_documents_are_typed_errors() {
-        let bad = Json::parse(&CHAOS_SAMPLE.replace("\"lost\": 0", "\"lost\": -1")).unwrap();
-        assert_eq!(
-            extract_chaos_doc(&bad).unwrap_err(),
-            GateError::InvalidMeasurement {
-                cell: "chaos/soak".into(),
-                field: "lost".into(),
-                value: -1.0,
+    fn degrade_trips_every_bound_kind_and_round_trips() {
+        let doc = sample();
+        let slowed = degrade(&doc, 2.0);
+        let rendered = Doc::parse(&slowed.render()).unwrap();
+        assert_eq!(rendered, slowed, "render/parse round trip");
+        let regs = compare(&doc, &rendered).unwrap();
+        // Every cell but the two sub-floor times is flagged.
+        let expect: Vec<(String, String)> = doc
+            .cells
+            .iter()
+            .filter(|c| c.metric != "t_refine" && c.metric != "p50_ms")
+            .map(|c| (c.key.clone(), c.metric.clone()))
+            .collect();
+        assert_eq!(flagged(&regs), expect);
+        assert_eq!(slowed.cells[4].value, 750_000.0, "throughput halves");
+        assert_eq!(slowed.cells[5].value, 6.0, "abs_max moves one unit past");
+        assert_eq!(slowed.cells[7].value, 0.0, "abs_min moves one unit past");
+        // The degraded copy passes against itself except for its
+        // absolute cells, which it breaks by construction.
+        assert_eq!(compare(&rendered, &rendered).unwrap().len(), 3);
+    }
+
+    #[test]
+    fn committed_baselines_parse_pass_themselves_and_fail_degraded() {
+        // (file, gated cells): BENCH_overload.json is written through the
+        // same schema but deliberately carries no cells.
+        let files = [
+            ("BENCH_query.json", 32),
+            ("BENCH_tiles.json", 32),
+            ("BENCH_ingest.json", 6),
+            ("BENCH_server.json", 5),
+            ("BENCH_obs.json", 5),
+            ("BENCH_chaos.json", 6),
+            ("BENCH_overload.json", 0),
+        ];
+        for (file, cells) in files {
+            let path = format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"));
+            let text = std::fs::read_to_string(&path).expect("committed baseline exists");
+            let doc = Doc::parse(&text).unwrap_or_else(|e| panic!("{file}: {e}"));
+            assert_eq!(doc.cells.len(), cells, "{file}");
+            assert_eq!(doc.render(), text, "{file} is in the serializer's layout");
+            if cells == 0 {
+                continue;
             }
-        );
-        let bad =
-            Json::parse(&CHAOS_SAMPLE.replace("\"duplicates\": 0,", "")).unwrap();
-        assert!(matches!(extract_chaos_doc(&bad).unwrap_err(), GateError::Shape(_)));
-    }
-
-    #[test]
-    fn chaos_render_round_trips_through_the_gate() {
-        let doc = extract_chaos_doc(&Json::parse(CHAOS_SAMPLE).unwrap()).unwrap();
-        let rendered = render_chaos_doc(&scale_chaos(&doc, 2.0));
-        let reparsed = extract_chaos_doc(&Json::parse(&rendered).unwrap()).unwrap();
-        assert!(!compare_chaos(&doc, &reparsed, REGRESSION_THRESHOLD).is_empty());
-        let identity = extract_chaos_doc(
-            &Json::parse(&render_chaos_doc(&doc)).unwrap(),
+            assert_eq!(
+                compare(&doc, &doc),
+                Ok(vec![]),
+                "{file} passes against itself"
+            );
+            let regs = compare(&doc, &degrade(&doc, 2.0)).unwrap();
+            for kind in ["rel", "abs_max", "abs_min"] {
+                let of_kind = |b: &Bound| b.to_string().starts_with(kind);
+                if doc.cells.iter().any(|c| of_kind(&c.bound)) {
+                    assert!(
+                        regs.iter().any(
+                            |r| matches!(r, Regression::Exceeded { bound, .. } if of_kind(bound))
+                        ),
+                        "{file}: degraded copy trips no {kind} cell: {regs:?}"
+                    );
+                }
+            }
+        }
+        // The committed soak drove every drain cycle it was asked for.
+        let chaos = Doc::parse(
+            &std::fs::read_to_string(concat!(
+                env!("CARGO_MANIFEST_DIR"),
+                "/../../BENCH_chaos.json"
+            ))
+            .unwrap(),
         )
         .unwrap();
-        assert!(compare_chaos(&doc, &identity, REGRESSION_THRESHOLD).is_empty());
-    }
-
-    #[test]
-    fn parses_the_committed_chaos_baseline() {
-        // The gate must always be able to read the real artifact, and the
-        // committed soak must itself be loss-free.
-        let text = std::fs::read_to_string(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_chaos.json"
-        ))
-        .expect("committed chaos baseline exists");
-        let doc = extract_chaos_doc(&Json::parse(&text).unwrap()).unwrap();
-        assert!(doc.acked > 0, "the soak acked work");
-        assert_eq!(doc.lost, 0, "committed baseline lost acked inserts");
-        assert_eq!(doc.duplicates, 0, "committed baseline duplicated inserts");
-        assert!(doc.drain_cycles >= 3, "the soak survived >= 3 drain cycles");
+        let cycles = chaos
+            .cells
+            .iter()
+            .find(|c| c.metric == "drain_cycles")
+            .unwrap();
+        assert!(cycles.value >= 3.0, "the soak survived >= 3 drain cycles");
     }
 
     #[test]
@@ -1660,5 +1161,24 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("12 34").is_err());
         assert!(Json::parse("{\"a\" 1}").is_err());
+    }
+
+    #[test]
+    fn json_render_round_trips() {
+        let v = Json::parse(
+            r#"{"s": "a\"b\\c\nd\te", "n": [0, -0.5, 12000000, 0.000001, 1e300],
+                "o": {"x": [{"y": null}, true, false], "e": {}, "a": []}}"#,
+        )
+        .unwrap();
+        let text = v.render();
+        assert_eq!(Json::parse(&text).unwrap(), v);
+        assert!(
+            text.contains("12000000,"),
+            "integers print without a fraction: {text}"
+        );
+        assert!(
+            text.contains("\n  \"o\": {\n    \"x\": [\n      {\"y\": null},\n"),
+            "{text}"
+        );
     }
 }

@@ -544,6 +544,8 @@ impl fmt::Display for QueryId {
 
 struct QueryEntry {
     id: u64,
+    /// The thread that registered the query — the one running it.
+    thread: std::thread::ThreadId,
     token: CancelToken,
     detail: String,
     queue_wait: Duration,
@@ -638,6 +640,7 @@ impl QueryRegistry {
         let mut entries = self.entries.lock().unwrap();
         entries.push(QueryEntry {
             id,
+            thread: std::thread::current().id(),
             token,
             detail,
             queue_wait,
@@ -659,6 +662,17 @@ impl QueryRegistry {
                 true
             }
             None => false,
+        }
+    }
+
+    /// Kill every in-flight query registered from one of `threads`. A
+    /// server draining its own sessions passes their threads, so it cannot
+    /// cancel another server's (or an embedded caller's) statements in the
+    /// same process.
+    pub fn kill_registered_by(&self, threads: &[std::thread::ThreadId]) {
+        let entries = self.entries.lock().unwrap();
+        for e in entries.iter().filter(|e| threads.contains(&e.thread)) {
+            e.token.kill();
         }
     }
 

@@ -348,9 +348,11 @@ pub struct MetricsRegistry {
     /// `ENOSPC`/`EIO` (queries serve the durable snapshot; INSERTs are
     /// rejected typed until `seal()` succeeds).
     pub degraded_tables: Gauge,
-    /// 1 while the server is draining (graceful shutdown in progress:
-    /// not accepting, in-flight statements running out their deadline),
-    /// else 0. `/healthz` reports 503 while set.
+    /// Servers in this process currently draining (graceful shutdown in
+    /// progress: not accepting, in-flight statements running out their
+    /// deadline). Each server increments it when its drain starts and
+    /// decrements it when the drain ends; its own `/healthz` reads its own
+    /// drain flag, not this process-wide count.
     pub server_draining: Gauge,
     /// Monotonic snapshot sequence: bumped by every
     /// [`snapshot_json`](Self::snapshot_json) so two scrapes of the same

@@ -975,13 +975,15 @@ mod tests {
 
     #[test]
     fn save_is_atomic_replace() {
-        let dir = tdir("replace");
+        // A private parent, so the residue scan below sees only this
+        // test's siblings, not other tests' in-flight saves.
+        let parent = tdir("replace");
+        let dir = parent.join("table");
         cloud(100).save_dir(&dir).unwrap();
         cloud(250).save_dir(&dir).unwrap();
         assert_eq!(PointCloud::open_dir(&dir).unwrap().num_points(), 250);
         // No staging or backup residue next to the target.
-        let parent = dir.parent().unwrap();
-        let residue: Vec<_> = std::fs::read_dir(parent)
+        let residue: Vec<_> = std::fs::read_dir(&parent)
             .unwrap()
             .filter_map(|e| e.ok())
             .map(|e| e.file_name().to_string_lossy().into_owned())

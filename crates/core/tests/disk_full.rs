@@ -25,6 +25,10 @@ fn batch(n: usize, salt: u16) -> Vec<PointRecord> {
         .collect()
 }
 
+/// The tests of this file flip the process-wide `degraded_tables` gauge,
+/// and one asserts exact deltas on it: they must not interleave.
+static GAUGE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 fn tdir(name: &str) -> std::path::PathBuf {
     let d = std::env::temp_dir().join(format!("lidardb_diskfull_{}_{name}", std::process::id()));
     let _ = std::fs::remove_dir_all(&d);
@@ -34,6 +38,7 @@ fn tdir(name: &str) -> std::path::PathBuf {
 
 #[test]
 fn enospc_degrades_to_read_only_and_seal_recovers() {
+    let _serial = GAUGE_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     let dir = tdir("roundtrip");
     let fi = Arc::new(FaultInjector::new());
     let mut pc =
@@ -79,6 +84,7 @@ fn enospc_degrades_to_read_only_and_seal_recovers() {
 
 #[test]
 fn enospc_at_group_commit_sync_also_degrades() {
+    let _serial = GAUGE_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     let dir = tdir("sync");
     let fi = Arc::new(FaultInjector::new());
     let mut pc = PointCloud::open_ingest_with_faults(
@@ -108,6 +114,7 @@ fn enospc_at_group_commit_sync_also_degrades() {
 
 #[test]
 fn degraded_table_survives_restart_cleanly() {
+    let _serial = GAUGE_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     // Degradation is a *runtime* mode, not an on-disk poison: after a
     // restart the durable prefix opens normally and ingest works again
     // (the operator's restart implies the device was dealt with).

@@ -94,8 +94,10 @@ pub fn render_from(registry: &MetricsRegistry, sample: Option<&RecorderSample>) 
     let uptime_ns = sample.map_or_else(|| registry.uptime_ns(), |s| s.uptime_ns);
     let m = format!("{PREFIX}_uptime_seconds");
     let _ = writeln!(out, "# TYPE {m} gauge\n{m} {}", uptime_ns as f64 * 1e-9);
+    // Counted from 1 (the served sample's seq is 0-based), so 0 means
+    // "no sample yet, scalars read live" and never the first sample.
     let m = format!("{PREFIX}_recorder_last_seq");
-    let _ = writeln!(out, "# TYPE {m} gauge\n{m} {}", sample.map_or(0, |s| s.seq));
+    let _ = writeln!(out, "# TYPE {m} gauge\n{m} {}", sample.map_or(0, |s| s.seq + 1));
 
     // Per-stage latency histograms, one family with a `stage` label.
     // Bucket b of the log₂ histogram holds calls with ⌊log₂ ns⌋ = b,
@@ -180,10 +182,10 @@ pub fn health_status(
 }
 
 /// Health verdict from the live gauges (recorder sample preferred, same
-/// source the scrape uses). The drain and degradation flags are read live
-/// — a drain must flip `/healthz` immediately, not a sampling interval
-/// later.
-pub fn health_now() -> (bool, String) {
+/// source the scrape uses) and the answering server's own `draining`
+/// flag. The drain and degradation flags are read live — a drain must
+/// flip `/healthz` immediately, not a sampling interval later.
+pub fn health_now(draining: bool) -> (bool, String) {
     let registry = MetricsRegistry::global();
     let sample = Recorder::global().latest();
     let get = |name: &str, live: u64| {
@@ -194,7 +196,6 @@ pub fn health_now() -> (bool, String) {
     };
     let queued = get("admission_queued", registry.admission_queued.get());
     let backlog = get("wal_backlog_rows", registry.wal_backlog_rows.get());
-    let draining = registry.server_draining.get() != 0;
     let degraded = registry.degraded_tables.get();
     health_status(queued, backlog, draining, degraded)
 }

@@ -27,7 +27,8 @@
 //! accepting TCP connections just long enough to answer them with a
 //! [`Message::ShuttingDown`] frame (never a raw reset mid-handshake), idle
 //! sessions get the same typed goodbye, in-flight statements run to the
-//! drain deadline and are then cancelled through the [`QueryRegistry`],
+//! drain deadline and are then cancelled through the [`QueryRegistry`] —
+//! only the statements this server's own session threads registered —
 //! every streaming table's group-commit window is force-fsynced, and the
 //! observability plane (answering 503 the whole time) is stopped last.
 
@@ -61,7 +62,8 @@ const DRAIN_POLL: Duration = Duration::from_millis(50);
 
 /// One accepted connection the server is tracking for drain: the stream
 /// (for a deadline force-close), a done flag the session thread sets on
-/// exit, and the thread handle to join.
+/// exit, and the thread handle to join (its thread id scopes the drain's
+/// statement kills to this server).
 struct ConnSlot {
     stream: TcpStream,
     done: Arc<AtomicBool>,
@@ -139,8 +141,8 @@ impl Server {
     pub fn run(self) {
         let stop = Arc::clone(&self.stop);
         if let Some(ml) = self.metrics_listener {
-            let mstop = Arc::clone(&stop);
-            thread::spawn(move || metrics_accept_loop(ml, mstop));
+            let (mstop, draining) = (Arc::clone(&stop), Arc::clone(&self.draining));
+            thread::spawn(move || metrics_accept_loop(ml, mstop, draining));
         }
         let drain_ms = self.drain_deadline.as_millis() as u64;
         for conn in self.listener.incoming() {
@@ -249,22 +251,23 @@ impl ServerHandle {
     /// Drain and stop the server, giving in-flight statements up to
     /// `deadline` before cancelling them. Steps, in order:
     ///
-    /// 1. flip the drain flag (`server_draining` gauge → 1, `/healthz` →
-    ///    503): idle sessions send `ShuttingDown` and close; new
-    ///    connections are refused with the same typed frame;
+    /// 1. flip this server's drain flag (its `/healthz` → 503, the
+    ///    process-wide `server_draining` gauge counts it): idle sessions
+    ///    send `ShuttingDown` and close; new connections are refused with
+    ///    the same typed frame;
     /// 2. wait for in-flight sessions to finish, up to `deadline`;
-    /// 3. deadline passed: trip every registered statement's
-    ///    [`CancelToken`] via the [`QueryRegistry`], wait [`CANCEL_GRACE`]
-    ///    for the typed `Error` farewells to flush, then force-close
-    ///    whatever sockets remain;
+    /// 3. deadline passed: trip the [`CancelToken`] of every statement this
+    ///    server's session threads registered in the [`QueryRegistry`],
+    ///    wait [`CANCEL_GRACE`] for the typed `Error` farewells to flush,
+    ///    then force-close whatever sockets remain;
     /// 4. stop the accept loop and join every session thread;
     /// 5. force-fsync every streaming table's WAL group (durability for
     ///    group-commit acks no future traffic will flush);
     /// 6. stop the observability listener **last** — `/healthz` answers
-    ///    503 for the whole drain — and clear the gauge.
+    ///    503 for the whole drain — and leave the gauge.
     pub fn shutdown_with_deadline(mut self, deadline: Duration) {
         let registry = MetricsRegistry::global();
-        registry.server_draining.set(1);
+        registry.server_draining.inc();
         self.draining.store(true, Ordering::Release);
 
         // Phase 1: let sessions finish on their own.
@@ -274,12 +277,16 @@ impl ServerHandle {
                 break;
             }
             if t0.elapsed() >= deadline {
-                // Phase 2: cancel in-flight statements; their sessions see
-                // a typed Error, then the drain flag, and exit.
-                let queries = QueryRegistry::global();
-                for q in queries.list() {
-                    queries.kill(q.id);
-                }
+                // Phase 2: cancel this server's in-flight statements; their
+                // sessions see a typed Error, then the drain flag, and exit.
+                let threads: Vec<thread::ThreadId> = self
+                    .conns
+                    .lock()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner)
+                    .iter()
+                    .map(|c| c.handle.thread().id())
+                    .collect();
+                QueryRegistry::global().kill_registered_by(&threads);
                 let g0 = Instant::now();
                 while self.reap_conns(false) > 0 && g0.elapsed() < CANCEL_GRACE {
                     thread::sleep(DRAIN_POLL);
@@ -317,11 +324,11 @@ impl ServerHandle {
         }
 
         // The observability plane outlives the query plane: stop it last,
-        // then clear the drain gauge.
+        // then leave the drain gauge.
         if let Some(m) = self.metrics_addr {
             let _ = TcpStream::connect(m);
         }
-        registry.server_draining.set(0);
+        registry.server_draining.dec();
     }
 
     /// Reap finished sessions from the table, returning how many are still
@@ -365,13 +372,13 @@ fn refuse_conn(stream: TcpStream, drain_ms: u64) {
 /// Accept loop for the metrics listener. Each request is served inline —
 /// a scrape is one read + one buffered write of pre-rendered text, so
 /// there is nothing to parallelise and no thread to leak per scrape.
-fn metrics_accept_loop(listener: TcpListener, stop: Arc<AtomicBool>) {
+fn metrics_accept_loop(listener: TcpListener, stop: Arc<AtomicBool>, draining: Arc<AtomicBool>) {
     for conn in listener.incoming() {
         if stop.load(Ordering::Acquire) {
             break;
         }
         if let Ok(stream) = conn {
-            let _ = serve_metrics_conn(stream);
+            let _ = serve_metrics_conn(stream, draining.load(Ordering::Acquire));
         }
     }
 }
@@ -380,7 +387,8 @@ fn metrics_accept_loop(listener: TcpListener, stop: Arc<AtomicBool>) {
 /// not `GET /metrics` or `GET /healthz` gets a 404; a malformed or
 /// oversized request line gets a 400. The connection always closes after
 /// one response (HTTP/1.0 semantics — curl and Prometheus both cope).
-fn serve_metrics_conn(stream: TcpStream) -> std::io::Result<()> {
+/// `draining` is this server's drain flag, which `/healthz` reports.
+fn serve_metrics_conn(stream: TcpStream, draining: bool) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_secs(5)))?;
     stream.set_write_timeout(Some(Duration::from_secs(5)))?;
     // Bounded request-line read: the observability port gets the same
@@ -399,7 +407,7 @@ fn serve_metrics_conn(stream: TcpStream) -> std::io::Result<()> {
         match path {
             "/metrics" => ("200 OK", promtext::CONTENT_TYPE, promtext::render()),
             "/healthz" => {
-                let (healthy, body) = promtext::health_now();
+                let (healthy, body) = promtext::health_now(draining);
                 let status = if healthy { "200 OK" } else { "503 Service Unavailable" };
                 (status, "text/plain", body)
             }

@@ -185,6 +185,50 @@ fn drain_deadline_cancels_in_flight_statements_with_a_typed_error() {
 }
 
 #[test]
+fn draining_one_server_leaves_another_servers_statement_untouched() {
+    // Two servers in one process, each with a statement stalled at its
+    // first checkpoint. Draining B with a short deadline cancels B's
+    // statement only; A's runs to completion and A stays healthy.
+    let stalled_server = |stall_ms: u64, drain: Duration| {
+        let mut pc = grid_cloud(10_000);
+        let fi = Arc::new(FaultInjector::new());
+        fi.inject(FaultStage::QueryCheckpoint, None, FaultKind::Stall(stall_ms));
+        pc.set_fault_injector(fi);
+        Server::bind("127.0.0.1:0", points_catalog(pc))
+            .unwrap()
+            .with_drain_deadline(drain)
+            .with_metrics_addr("127.0.0.1:0")
+            .unwrap()
+            .spawn()
+            .unwrap()
+    };
+    let a = stalled_server(1500, Duration::from_secs(10));
+    let b = stalled_server(1200, Duration::from_millis(300));
+    let slow = |addr: SocketAddr| {
+        thread::spawn(move || {
+            Client::connect(addr)
+                .unwrap()
+                .query_collect("SELECT COUNT(*) FROM points WHERE x >= 0")
+        })
+    };
+    let (on_a, on_b) = (slow(a.addr()), slow(b.addr()));
+    thread::sleep(Duration::from_millis(200)); // both statements stalled
+    let drain_b = thread::spawn(move || b.shutdown());
+    thread::sleep(Duration::from_millis(100)); // B is draining, A is not
+    let (status, body) = http_get(a.metrics_addr().unwrap(), "/healthz");
+    assert!(status.contains("200"), "A is not draining: {status} {body}");
+
+    drain_b.join().unwrap();
+    match on_b.join().unwrap() {
+        Err(ClientError::Server(m)) => assert!(m.contains("cancelled"), "got: {m}"),
+        other => panic!("B's statement should be cancelled by B's drain, got {other:?}"),
+    }
+    let (_, rows, _) = on_a.join().unwrap().expect("A's statement survives B's drain");
+    assert_eq!(rows[0][0], SqlValue::Int(10_000));
+    a.shutdown();
+}
+
+#[test]
 fn drain_flushes_group_commit_wal_before_returning() {
     let dir = tdir();
     let server = Server::bind("127.0.0.1:0", stream_catalog(&dir))

@@ -127,7 +127,10 @@ fn session_knobs_are_per_connection() {
 
 #[test]
 fn kill_from_another_connection_aborts_a_stream() {
-    let catalog = points_catalog(grid_cloud(500_000));
+    // A table name no other test streams from: SHOW QUERIES lists the
+    // whole process, and the KILL must land on this test's statement.
+    let mut catalog = Catalog::new();
+    catalog.register_pointcloud("kill_target", Arc::new(grid_cloud(500_000)));
     let server = serve(catalog, 1024);
 
     // Session A starts a big stream but reads nothing yet: the server
@@ -141,7 +144,7 @@ fn kill_from_another_connection_aborts_a_stream() {
         let id = loop {
             let (_, rows, _) = b.query_collect("SHOW QUERIES").unwrap();
             let hit = rows.iter().find(|r| {
-                matches!(&r[2], SqlValue::Str(d) if d.contains("stream select points"))
+                matches!(&r[2], SqlValue::Str(d) if d.contains("stream select kill_target"))
             });
             if let Some(row) = hit {
                 let SqlValue::Int(id) = row[0] else { panic!("id column") };
@@ -154,7 +157,7 @@ fn kill_from_another_connection_aborts_a_stream() {
     });
 
     let res = a.query_streamed(
-        "SELECT x, y, z FROM points",
+        "SELECT x, y, z FROM kill_target",
         |_| {},
         |_batch| {
             // Read slowly so the statement is still running when the KILL

@@ -1,44 +1,27 @@
 #!/usr/bin/env bash
-# Perf-regression gate: diff a fresh harness run against the committed
-# baseline; non-zero exit on >25% regression (see crates/bench/src/gate.rs).
-#
-#   BENCH_GATE_KIND=query  (default) gates E9 query p50s vs BENCH_query.json
-#   BENCH_GATE_KIND=ingest gates E12 ingest throughput + recovery time vs
-#                          BENCH_ingest.json
-#   BENCH_GATE_KIND=tiles  gates E13 flat-vs-tiled query p50s vs
-#                          BENCH_tiles.json (same shape as the query gate)
-#   BENCH_GATE_KIND=server gates E11 wire-protocol latency percentiles +
-#                          streamed-delivery throughput vs BENCH_server.json
-#   BENCH_GATE_KIND=obs    gates E14 flight-recorder overhead (absolute 5%
-#                          p99 ceiling + relative percentiles) vs
-#                          BENCH_obs.json
-#   BENCH_GATE_KIND=chaos  gates E15 chaos-soak integrity (lost/duplicate
-#                          inserts at absolute zero) + insert latency vs
-#                          BENCH_chaos.json
+# Perf-regression gate: diff a fresh harness run against a committed
+# baseline under the bounds its cells carry (see crates/bench/src/gate.rs).
+# Exit 0 = pass, 1 = regression, 2 = the gate cannot judge (bad document,
+# cross-host pair, a fresh cell restating its bound).
 #
 # Usage:
-#   scripts/bench_gate.sh                  # full run: rebuild, run harness, diff
-#   BENCH_GATE_FRESH=path scripts/bench_gate.sh
-#                                          # diff an existing results file
-#                                          # (CI uses this to avoid the
-#                                          # multi-minute full-scale run)
+#   scripts/bench_gate.sh BENCH_query.json
+#       full run: rerun the harness experiment the baseline names (its
+#       "experiment" prefix, e.g. e9), then diff
+#   BENCH_GATE_FRESH=path scripts/bench_gate.sh BENCH_query.json
+#       diff an existing results file (CI uses this to avoid the
+#       multi-minute full-scale runs)
 set -euo pipefail
-cd "$(dirname "$0")/.."
-REPO="$PWD"
-KIND="${BENCH_GATE_KIND:-query}"
-case "$KIND" in
-    query)  EXPERIMENT=e9;  ARTIFACT=BENCH_query.json ;;
-    ingest) EXPERIMENT=e12; ARTIFACT=BENCH_ingest.json ;;
-    tiles)  EXPERIMENT=e13; ARTIFACT=BENCH_tiles.json ;;
-    server) EXPERIMENT=e11; ARTIFACT=BENCH_server.json ;;
-    obs)    EXPERIMENT=e14; ARTIFACT=BENCH_obs.json ;;
-    chaos)  EXPERIMENT=e15; ARTIFACT=BENCH_chaos.json ;;
-    *) echo "bench_gate.sh: BENCH_GATE_KIND must be query, ingest, tiles, server, obs, or chaos" >&2; exit 2 ;;
-esac
-BASE="${BENCH_GATE_BASE:-$REPO/$ARTIFACT}"
+BASE="${1:?usage: scripts/bench_gate.sh <baseline BENCH_*.json>}"
+REPO="$(cd "$(dirname "$0")/.." && pwd)"
 
 FRESH="${BENCH_GATE_FRESH:-}"
 if [ -z "$FRESH" ]; then
+    EXPERIMENT="$(sed -n 's/^  "experiment": "\(e[0-9]*\)_.*/\1/p' "$BASE")"
+    if [ -z "$EXPERIMENT" ]; then
+        echo "bench_gate.sh: $BASE names no harness experiment" >&2
+        exit 2
+    fi
     # Run the harness in a scratch cwd so its BENCH_*.json artifacts don't
     # clobber the committed baselines.
     SCRATCH="$(mktemp -d)"
@@ -46,8 +29,8 @@ if [ -z "$FRESH" ]; then
     echo "bench_gate.sh: running fresh $EXPERIMENT harness (this may take a few minutes)..."
     (cd "$SCRATCH" && cargo run --release --quiet \
         --manifest-path "$REPO/Cargo.toml" -p lidardb-bench --bin harness -- "$EXPERIMENT")
-    FRESH="$SCRATCH/$ARTIFACT"
+    FRESH="$SCRATCH/$(basename "$BASE")"
 fi
 
-exec cargo run --release --quiet --manifest-path "$REPO/Cargo.toml" \
-    -p lidardb-bench --bin bench_gate -- --kind "$KIND" --base "$BASE" --fresh "$FRESH"
+cargo run --release --quiet --manifest-path "$REPO/Cargo.toml" \
+    -p lidardb-bench --bin bench_gate -- --base "$BASE" --fresh "$FRESH"
